@@ -9,7 +9,8 @@ resilience contract end-to-end:
    ``repro run --json`` reference.
 2. SIGTERM mid-job drains to a spool snapshot and exits 75
    (``EX_TEMPFAIL``); ``kill -9`` mid-job loses nothing the periodic
-   checkpointer already wrote.  A restarted server on the same
+   checkpointer already wrote, and leaves no worker or fork template
+   running behind the dead server.  A restarted server on the same
    cache/spool directories resumes and the final statistics are
    byte-identical to the uninterrupted reference.
 3. A bit-flipped cache entry is quarantined to ``<name>.corrupt`` and
@@ -89,10 +90,35 @@ def _stop(proc: subprocess.Popen) -> tuple[int, str]:
     return proc.returncode, tail or ""
 
 
+def _running_parents() -> dict[int, int]:
+    """pid -> parent pid of every running (not zombie) process, from /proc."""
+    parent_of = {}
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if stat[0] not in ("Z", "X"):
+            parent_of[int(entry.name)] = int(stat[1])
+    return parent_of
+
+
+def _descendants(pid: int) -> set[int]:
+    parent_of = _running_parents()
+    found: set[int] = set()
+    frontier = {pid}
+    while frontier:
+        frontier = {c for c, p in parent_of.items() if p in frontier} - found
+        found |= frontier
+    return found
+
+
 def _wait_for_snapshot(spool: Path, timeout: float = 15.0) -> list[Path]:
-    """Poll for a spool snapshot: the spawn-isolated worker outlives a
-    SIGKILLed server briefly (PDEATHSIG -> snapshot at the next task
-    boundary), so the file can land a moment after the server dies."""
+    """Poll for a spool snapshot: the worker outlives a SIGKILLed server
+    briefly (PDEATHSIG -> snapshot at the next task boundary), so the
+    file can land a moment after the server dies."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         snaps = list(spool.glob("*.snap"))
@@ -194,6 +220,8 @@ def main() -> int:
         proc, client = _start_server(tmp, REPRO_SERVICE_SLOW="0.5")
         client.submit_run(workload="lu", policy="tdnuca", scale=128)
         time.sleep(KILL_AFTER)
+        orphans = _descendants(proc.pid)
+        assert orphans, "a mid-job server should have a worker process"
         proc.kill()  # SIGKILL: no drain, no goodbye
         proc.wait(timeout=30)
         proc.stdout.close()
@@ -201,6 +229,12 @@ def main() -> int:
             "kill -9 mid-job should leave a checkpoint behind (periodic, "
             "or the orphaned worker's PDEATHSIG snapshot)"
         )
+        deadline = time.monotonic() + 15.0
+        while orphans & _running_parents().keys():
+            assert time.monotonic() < deadline, (
+                "worker or template processes outlived the kill -9'd server"
+            )
+            time.sleep(0.1)
 
         proc, client = _start_server(tmp)
         try:

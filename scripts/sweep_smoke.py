@@ -6,7 +6,9 @@ worker crash (the ``REPRO_HARNESS_CRASH`` chaos hook), verifies the sweep
 degrades gracefully (remaining jobs complete, failure archived in the
 manifest and the merged JSON), then resumes it and asserts the merged
 output is complete, failure-free, and that already-finished shards were
-not re-run.
+not re-run.  A last isolated sweep runs one cell whose pickled result is
+larger than a pipe's 64 KiB buffer under ``--timeout``, so a parent that
+stops draining its workers' result pipes fails fast instead of hanging.
 
 Usage: ``PYTHONPATH=src python scripts/sweep_smoke.py``
 """
@@ -23,6 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CRASH_JOB = "md5/tdnuca"
 EXPECTED_RUNS = {"md5/snuca", "md5/tdnuca", "knn/snuca", "knn/tdnuca"}
+#: ~100 KB pickled at 1/1024, mostly its dependency categories.
+BIG_RESULT_JOB = "histo/tdnuca"
 
 
 def repro(args: list[str], **env_overrides: str) -> int:
@@ -74,7 +78,20 @@ def main() -> int:
                 now = (run_dir / "shards" / name).stat().st_mtime_ns
                 assert now == mtime, f"finished shard {name} was re-run"
 
-    print("sweep smoke ok: crash archived, resume completed the campaign")
+        big = Path(tmp) / "big.json"
+        workload, policy = BIG_RESULT_JOB.split("/")
+        rc = repro([
+            "sweep", "--scale", "1024", "--workloads", workload,
+            "--policies", policy, "--timeout", "60", "--retries", "0",
+            "--out", str(big),
+        ])
+        assert rc == 0, f"large-result sweep should exit 0, got {rc}"
+        result = json.loads(big.read_text())
+        assert set(result["runs"]) == {BIG_RESULT_JOB}, result["runs"].keys()
+        assert result["failures"] == []
+
+    print("sweep smoke ok: crash archived, resume completed the campaign, "
+          "large result received")
     return 0
 
 

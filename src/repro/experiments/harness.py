@@ -428,6 +428,21 @@ class _Running:
     recv: Any
     started: float
     deadline: float | None
+    msg: tuple | None = None  # the worker's one message, once received
+
+
+def _receive(r: _Running) -> None:
+    """Take the worker's one message (if any has arrived) and close the
+    pipe; the worker closes its end after that message, so nothing more
+    can come."""
+    if r.recv.closed:
+        return
+    try:
+        if r.recv.poll():
+            r.msg = r.recv.recv()
+    except (EOFError, OSError):
+        pass
+    r.recv.close()
 
 
 def run_sweep(
@@ -839,8 +854,10 @@ def _run_isolated(
                     )
                     emit("start", item.job, f"attempt {item.attempt}")
 
-            # Block until a child exits, a deadline passes, or a backoff
-            # window opens.
+            # Block until a child exits or sends its result, a deadline
+            # passes, or a backoff window opens.  Results are received as
+            # they arrive: a child sending more than the pipe buffers
+            # blocks until it is read, so it would never exit otherwise.
             wait_for = 0.25
             now = time.monotonic()
             if running:
@@ -849,7 +866,12 @@ def _run_isolated(
                 ]
                 if deadlines:
                     wait_for = max(0.0, min(wait_for, min(deadlines) - now))
-                connection.wait(list(running), timeout=wait_for)
+                pipes = {r.recv: r for r in running.values() if not r.recv.closed}
+                for ready in connection.wait(
+                    [*running, *pipes], timeout=wait_for
+                ):
+                    if ready in pipes:
+                        _receive(pipes[ready])
             elif queue:
                 soonest = min(item.ready_at for item in queue)
                 if soonest > now:
@@ -871,13 +893,8 @@ def _run_isolated(
                     if r.proc.is_alive():
                         r.proc.kill()
                         r.proc.join(10.0)
-                msg = None
-                if r.recv.poll():
-                    try:
-                        msg = r.recv.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                r.recv.close()
+                _receive(r)
+                msg = r.msg
                 exitcode = r.proc.exitcode
                 spent = r.item.spent + (time.monotonic() - r.started)
                 if msg is not None and msg[0] == "ok":

@@ -16,8 +16,9 @@ Layout:
 * :mod:`repro.service.cache`    — CRC-validated content-addressed results.
 * :mod:`repro.service.queue`    — bounded queue, retries, breaker, eviction,
   poison quarantine.
-* :mod:`repro.service.workers`  — the crash-isolated worker pool: one spawn
-  subprocess per attempt, heartbeat leases, memory rlimits.
+* :mod:`repro.service.workers`  — the crash-isolated worker pool: one
+  subprocess per attempt, forked from a pre-imported template, heartbeat
+  leases, memory rlimits.
 * :mod:`repro.service.server`   — the asyncio HTTP front end.
 * :mod:`repro.service.client`   — the retrying client behind ``repro submit``.
 

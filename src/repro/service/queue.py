@@ -28,10 +28,10 @@ contract, piece by piece:
   loses nothing already cached because cache and spool writes are atomic.
 
 Simulations run on a supervised **process-per-attempt worker pool**
-(:class:`~repro.service.workers.WorkerPool`): each attempt is a
-spawn-isolated subprocess holding a heartbeat lease, so a segfault, OOM,
-or hang costs one attempt, never the server.  On top of the pool this
-module adds:
+(:class:`~repro.service.workers.WorkerPool`): each attempt is a fresh
+subprocess, forked from a pre-imported template, holding a heartbeat
+lease, so a segfault, OOM, or hang costs one attempt, never the server.
+On top of the pool this module adds:
 
 * **Crash requeue** — a :class:`~repro.service.workers.WorkerDied`
   requeues the job (resuming byte-identically from its last spool

@@ -3,11 +3,16 @@
 The PR-6 queue executed every simulation on a ``ThreadPoolExecutor``
 inside the server process, so one segfaulting, OOM-ing, or runaway job
 took the whole service down with it.  This module moves each job attempt
-into a **spawn-isolated subprocess** supervised from the (still
+into a **process-isolated child** supervised from the (still
 thread-based) attempt slot:
 
-* **Process-per-attempt** — a fresh ``spawn`` child per attempt: no
-  inherited locks, no shared heap, and a crash costs exactly one attempt.
+* **Process-per-attempt** — a fresh child per attempt, forked from a
+  pre-imported **template** (the stdlib ``forkserver``): the template is
+  a single-threaded process that has only imported the simulator and
+  never runs a job, so a child inherits no locks, no server heap and no
+  earlier job's state, yet skips the interpreter start and ``repro``
+  import a ``spawn`` would pay on every attempt.  A crash costs exactly
+  one attempt.
   The child streams progress over a one-way pipe (``ready`` /
   ``cell_done`` / ``event`` / terminal ``ok``/``preempted``/``error``)
   and writes results/snapshots to the shared cache/spool directories —
@@ -29,15 +34,15 @@ thread-based) attempt slot:
   child, so a leaking simulation gets ``MemoryError`` (a classified,
   retryable failure) instead of inviting the host OOM killer to shoot
   the server.
-* **Ready gating** — the spawn bootstrap imports the whole package
-  before the child installs its SIGTERM handler.  The supervisor never
-  forwards a preempt signal until the child reports ``ready``, so a
-  drain can't kill a child mid-import and lose the checkpoint the drain
-  exists to write.
+* **Ready gating** — the child's bootstrap runs before it installs its
+  SIGTERM handler.  The supervisor never forwards a preempt signal until
+  the child reports ``ready``, so a drain can't kill a child mid-startup
+  and lose the checkpoint the drain exists to write.
 * **Orphan reaping** — the child arms ``PR_SET_PDEATHSIG`` (SIGTERM on
-  parent death), so ``kill -9`` of the server stops its children at the
-  next task boundary instead of leaving orphans racing the restarted
-  server for the spool.
+  parent death) against the template, which exits as soon as the server
+  does, so ``kill -9`` of the server stops its children at the next task
+  boundary instead of leaving orphans racing the restarted server for
+  the spool.  A drain that leaves no attempt alive stops the template.
 
 The queue layers poison quarantine and graceful concurrency degradation
 on top (see :mod:`repro.service.queue`); failure *injection* for all of
@@ -53,6 +58,7 @@ import os
 import signal
 import threading
 import time
+from multiprocessing import forkserver
 from pathlib import Path
 from typing import Any, Callable
 
@@ -78,6 +84,54 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 #: wall stamp exists only so humans can line logs up against it.
 _HB_MONO = 0
 _HB_WALL = 1
+
+#: what the fork template imports once, so every attempt forked from it
+#: starts with the simulator loaded.
+_TEMPLATE_PRELOAD = [
+    __name__,
+    "repro.api",
+    "repro.service.cache",
+    "repro.service.queue",
+    "repro.obs",
+    "repro.sim.kernels.vector",
+    "numpy.random",
+]
+
+#: The template is the stdlib forkserver: one per server process, shared
+#: by every pool in it.  Launches and the drain-time stop take this lock,
+#: and a drain stops the template only while none of its attempts is
+#: alive (stopping it under a live attempt would SIGTERM that attempt
+#: through its PDEATHSIG).  The next launch starts a fresh template.
+_template_lock = threading.Lock()
+_forked: set[multiprocessing.process.BaseProcess] = set()
+
+
+def _fork_attempt(proc: multiprocessing.process.BaseProcess) -> None:
+    with _template_lock:
+        forkserver.set_forkserver_preload(_TEMPLATE_PRELOAD)
+        proc.start()
+        _forked.add(proc)
+
+
+def _forget_attempt(proc: multiprocessing.process.BaseProcess) -> None:
+    with _template_lock:
+        _forked.discard(proc)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # exists, but is not ours to signal
+        pass
+    return True
+
+
+def _stop_idle_template() -> None:
+    with _template_lock:
+        if not any(_alive(p.pid) for p in _forked):
+            forkserver._forkserver._stop()
 
 
 def _stamp(hb: Any) -> None:
@@ -153,6 +207,16 @@ class AttemptHandle:
         forwards SIGTERM (repeat calls are idempotent)."""
         self.preempt_requested = True
 
+    def alive(self) -> bool:
+        """Whether the child's pid still exists; safe from any thread.
+
+        Only the supervisor thread may poll or join ``proc``: a forked
+        child's exit code is read once from the template's pipe, and a
+        second reader would get EOF and record exit code 255 instead.
+        """
+        pid = self.proc.pid
+        return pid is not None and _alive(pid)
+
     def heartbeat_age(self) -> float:
         """Seconds since the child's last stamp, on the shared monotonic
         clock — immune to wall-clock (NTP) steps in either direction."""
@@ -165,13 +229,12 @@ class AttemptHandle:
 
 
 class WorkerPool:
-    """Spawns, supervises, and accounts for per-attempt worker processes.
+    """Launches, supervises, and accounts for per-attempt worker processes.
 
     Not a pool of long-lived processes: isolation is the point, so every
-    attempt gets a fresh child (~0.4 s spawn+import on this codebase —
-    noise against multi-second simulations).  What is pooled is the
-    *accounting*: death/restart counters and the adaptive
-    :attr:`concurrency` the queue's worker loops respect.
+    attempt gets a fresh child, forked from the pre-imported template.
+    What is pooled is the *accounting*: death/restart counters and the
+    adaptive :attr:`concurrency` the queue's worker loops respect.
     """
 
     def __init__(
@@ -185,7 +248,6 @@ class WorkerPool:
         checkpoint_every: int = 0,
         degrade_after: int = 2,
         degrade_window: float = 60.0,
-        mp_context: str = "spawn",
         fleet_dir: str | Path | None = None,
         fleet_host: str | None = None,
     ) -> None:
@@ -203,7 +265,6 @@ class WorkerPool:
         self.checkpoint_every = checkpoint_every
         self.degrade_after = degrade_after
         self.degrade_window = degrade_window
-        self._mp_context = mp_context
         self.fleet_dir = None if fleet_dir is None else str(fleet_dir)
         self.fleet_host = fleet_host
         #: wired to FleetNode.note_fenced by the server in fleet mode, so
@@ -239,7 +300,7 @@ class WorkerPool:
         :class:`WorkerJobError` for child-side job failures, and
         :class:`WorkerDied` when the child vanished or lost its lease.
         """
-        ctx = multiprocessing.get_context(self._mp_context)
+        ctx = multiprocessing.get_context("forkserver")
         recv, send = ctx.Pipe(duplex=False)
         # [monotonic, wall]: CLOCK_MONOTONIC is per-boot, so parent and
         # child (same host by construction) read the same timeline.
@@ -254,7 +315,7 @@ class WorkerPool:
             self.spawned += 1
             self._attempts[job.id] = handle
         job.current_ck = handle
-        proc.start()
+        _fork_attempt(proc)
         send.close()  # child holds the only write end: EOF tracks its death
         start = time.monotonic()
         hard_deadline = (
@@ -265,7 +326,7 @@ class WorkerPool:
             while terminal is None:
                 if handle.preempt_requested and handle.ready and not handle.signalled:
                     handle.signalled = True
-                    _soft_kill(proc)
+                    _signal(proc, signal.SIGTERM)
                 got = recv.poll(0.05)
                 if got:
                     try:
@@ -313,6 +374,7 @@ class WorkerPool:
             if proc.is_alive():
                 _hard_kill(proc)
             proc.join(timeout=5.0)
+            _forget_attempt(proc)
             recv.close()
         kind = terminal[0]
         if kind == "ok":
@@ -436,27 +498,33 @@ class WorkerPool:
                 self.concurrency += 1
 
     def kill_all(self) -> int:
-        """SIGKILL every live child (the drain deadline's backstop).
+        """SIGKILL every live child (the drain deadline's backstop), then
+        stop the fork template unless another pool's attempt still runs.
 
-        Joins each killed child briefly so the caller observes them
-        reaped — a SIGKILL'd process exits immediately, so the join is
-        bounded in practice; the timeout only guards kernel pathology.
+        Waits until each killed pid is gone, i.e. reaped by the template,
+        so the caller observes them dead — a SIGKILL'd process exits
+        immediately, so the wait is bounded in practice; the timeout only
+        guards kernel pathology.  The join is left to each attempt's
+        supervisor (see :meth:`AttemptHandle.alive`).  A child still
+        being launched (the first waits for the template to start) is
+        left to its supervisor too, which forwards the drain's preempt
+        request once the child reports ready.
         """
-        killed = 0
         with self._lock:
             handles = list(self._attempts.values())
-        for handle in handles:
-            if handle.proc.is_alive():
-                _hard_kill(handle.proc)
-                killed += 1
-        for handle in handles:
-            handle.proc.join(timeout=5.0)
-        return killed
+        killed = [h for h in handles if h.alive()]
+        for handle in killed:
+            _signal(handle.proc, signal.SIGKILL)
+        deadline = time.monotonic() + 5.0
+        while any(h.alive() for h in killed) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        _stop_idle_template()
+        return len(killed)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
             busy = len(self._attempts)
-            alive = sum(1 for h in self._attempts.values() if h.proc.is_alive())
+            alive = sum(1 for h in self._attempts.values() if h.alive())
             return {
                 "configured": self.workers,
                 "concurrency": self.concurrency,
@@ -472,10 +540,10 @@ class WorkerPool:
             }
 
 
-def _soft_kill(proc: multiprocessing.process.BaseProcess) -> None:
+def _signal(proc: multiprocessing.process.BaseProcess, sig: int) -> None:
     try:
         if proc.pid is not None:
-            os.kill(proc.pid, signal.SIGTERM)
+            os.kill(proc.pid, sig)
     except (ProcessLookupError, OSError):
         pass
 
@@ -493,7 +561,8 @@ def _hard_kill(proc: multiprocessing.process.BaseProcess) -> None:
 
 
 def _set_pdeathsig() -> None:
-    """Arm PR_SET_PDEATHSIG=SIGTERM (Linux): if the server is kill -9'd,
+    """Arm PR_SET_PDEATHSIG=SIGTERM (Linux) against the parent — the
+    template, which exits with the server: if the server is kill -9'd,
     the child checkpoints at its next boundary instead of racing the
     restarted server for the spool as an orphan.  Best-effort elsewhere."""
     try:
@@ -503,6 +572,18 @@ def _set_pdeathsig() -> None:
         libc.prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG = 1
     except (OSError, AttributeError, TypeError):
         pass
+
+
+def _drop_template_hold() -> None:
+    """Close this child's copy of the template's liveness pipe.
+
+    The template exits once every holder of that pipe has closed it;
+    with the children's copies gone, that is the moment the server dies,
+    and the template's exit is what fires the children's PDEATHSIG.
+    """
+    fs = forkserver._forkserver
+    os.close(fs._forkserver_alive_fd)
+    fs._forkserver_alive_fd = None
 
 
 def _safe_send(conn: Any, msg: tuple) -> None:
@@ -520,11 +601,14 @@ def _attempt_main(conn: Any, hb: Any, payload: dict[str, Any]) -> None:
     Ordering here is the crash-safety contract: pdeathsig + rlimit first
     (so even an early wreck is contained), then signal handlers, then the
     ``ready`` message — only after which the parent will forward SIGTERM.
+    PDEATHSIG is armed while this child still keeps the template alive,
+    so the template cannot exit before it is armed.
     """
     _set_pdeathsig()
+    _drop_template_hold()
     parent = payload.get("parent_pid")
-    if parent and os.getppid() != parent:
-        os._exit(98)  # orphaned during spawn: nobody is listening
+    if parent and not _alive(parent):
+        os._exit(98)  # the server died during launch: nobody is listening
     if payload.get("mem_limit_mb"):
         try:
             import resource
@@ -579,9 +663,9 @@ def _run_cells(
     conn: Any, hb: Any, holder: dict[str, Any], payload: dict[str, Any],
     fctx: dict[str, Any],
 ) -> None:
-    # Heavy imports happen here, after ready: the budget deadline below is
-    # computed after them, so a short time slice buys simulation, not
-    # interpreter startup.
+    # Heavy imports happen here, after ready (a forked child finds them
+    # already loaded): the budget deadline below is computed after them,
+    # so a short time slice buys simulation, not interpreter startup.
     from repro.service.cache import ResultCache, request_key
     from repro.service.queue import spec_from_dict
 

@@ -1,7 +1,7 @@
 """Chaos suite: the service under deterministic fault injection.
 
 Run with ``pytest -m chaos`` (excluded from the default tier-1 run by
-``addopts``).  Everything here drives real spawn-isolated workers through
+``addopts``).  Everything here drives real process-isolated workers through
 the failpoint registry and holds the service to the ISSUE's acceptance
 bar:
 
@@ -92,6 +92,7 @@ def test_kill9_mid_job_is_byte_identical_on_every_golden_case(
         seed=case.seed,
         scale=GOLDEN_SERVICE_SCALE,
         faults=case.fault_spec,
+        mesh=case.mesh,
     )
     (job,) = submit_and_settle(queue, [spec])
 

@@ -75,6 +75,14 @@ def hang_runner(job, cfg):
     return ok_runner(job, cfg)
 
 
+#: well past the 64 KiB a pipe buffers before its writer blocks.
+BIG_RESULT_BYTES = 256 * 1024
+
+
+def big_runner(job, cfg):
+    return {**ok_runner(job, cfg), "blob": "x" * BIG_RESULT_BYTES}
+
+
 # --------------------------------------------------------------------------
 
 
@@ -155,6 +163,21 @@ class TestIsolated:
         assert rec.workload == "hang" and rec.timed_out
         assert rec.error == "Timeout"
         assert outcome.timed_out == 1
+
+    def test_result_larger_than_the_pipe_buffer_is_received(self):
+        # The worker blocks in send until the parent reads; a parent that
+        # only reads after the worker exits would wait out the timeout.
+        jobs = [Job("a", "p"), Job("b", "p")]
+        t0 = time.monotonic()
+        outcome = run_sweep(
+            jobs, runner=big_runner, workers=2, timeout=20.0, retries=0
+        )
+        assert time.monotonic() - t0 < 10
+        assert outcome.ok == 2 and outcome.failed == 0
+        assert all(
+            len(run.result["blob"]) == BIG_RESULT_BYTES
+            for run in outcome.completed
+        )
 
     def test_permanent_error_reported_across_process(self):
         outcome = run_sweep(

@@ -315,9 +315,10 @@ class TestCacheIntegration:
 
 class TestEvictionAndDrain:
     def test_eviction_requeues_and_result_stays_byte_identical(self, tmp_path):
-        # 0.5s slices: each process-isolated attempt pays ~0.4s of spawn
-        # and import before simulating, so shorter slices would spend the
-        # test respawning instead of progressing.
+        # 0.5s slices: every eviction costs a relaunch (milliseconds for
+        # an attempt forked from the template, ~0.4s of interpreter start
+        # and import for a spawned one), so much shorter slices would
+        # spend the test relaunching instead of progressing.
         queue = make_queue(tmp_path, evict_after=0.5)
 
         async def go():

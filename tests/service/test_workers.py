@@ -1,7 +1,7 @@
-"""Crash-isolated worker pool: deaths, leases, poison, degradation.
+"""Crash-isolated worker pool: launch, deaths, leases, poison, degradation.
 
 Every test injects faults through the deterministic failpoint registry
-(forwarded to the spawned worker via the attempt payload) and uses the
+(forwarded to the forked worker via the attempt payload) and uses the
 smallest real simulation (md5 @ scale 2048, ~130 tasks) because crash ->
 resume byte-identity is the property under test.
 
@@ -15,6 +15,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -24,7 +29,8 @@ from repro.api import Session
 from repro.config import scaled_config
 from repro.service.cache import ResultCache
 from repro.service.envelope import ServiceError
-from repro.service.queue import JobQueue, RunSpec
+from repro.service.queue import Job, JobQueue, RunSpec
+from repro.service.workers import WorkerDied, WorkerPool
 
 SCALE = 2048
 CFG = scaled_config(1 / SCALE)
@@ -70,6 +76,124 @@ def submit_and_settle(queue, spec, timeout=120.0):
 
 def reference_result():
     return Session(CFG).run("md5", "tdnuca").stats_dict()
+
+
+def proc_stat(pid):
+    """``(state, ppid)`` from /proc, or ``None`` once the pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def running(pid):
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+class TestForkedLaunch:
+    """Attempts fork from a pre-imported template, yet stay isolated."""
+
+    def test_each_attempt_is_a_fresh_process_with_import_time_state(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.workers as workers_mod
+
+        procs = []
+
+        class Recording(workers_mod.AttemptHandle):
+            def __init__(self, proc, hb):
+                super().__init__(proc, hb)
+                procs.append(proc)
+
+        monkeypatch.setattr(workers_mod, "AttemptHandle", Recording)
+        pool = WorkerPool(1, spool=tmp_path)
+        job = Job(id="j", spec=RunSpec("md5", "tdnuca", scale=SCALE))
+        # Attempt 1 installs, in its own failpoint registry, a crash that
+        # only attempt 2 would trip.  Attempt 2's payload carries no spec,
+        # so it crashes iff it inherited attempt 1's module state.
+        failpoints.configure("worker.start.crash=*@attempt:2")
+        job.attempts = 1
+        pool.run_attempt(job, None)
+        failpoints.reset()
+        job.attempts = 2
+        job.partial.clear()
+        pool.run_attempt(job, None)
+        pool.kill_all()
+        assert job.simulated == 2
+        pids = {p.pid for p in procs}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_attempt_for_a_dead_server_exits_98_before_simulating(
+        self, tmp_path, monkeypatch
+    ):
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        pool = WorkerPool(1, spool=tmp_path)
+        payload = pool._payload
+        monkeypatch.setattr(
+            pool, "_payload",
+            lambda job, budget: {**payload(job, budget), "parent_pid": gone.pid},
+        )
+        job = Job(id="j", spec=RunSpec("md5", "tdnuca", scale=SCALE))
+        job.attempts = 1
+        with pytest.raises(WorkerDied) as exc:
+            pool.run_attempt(job, None)
+        pool.kill_all()
+        assert exc.value.exitcode == 98
+        assert job.cells_done == 0 and job.simulated == 0
+
+    def test_drain_leaves_no_template_or_worker_alive(self, tmp_path):
+        failpoints.configure("worker.hang=*@task_ge:1@param:60")
+        queue = make_queue(tmp_path)
+
+        async def go():
+            await queue.start()
+            job = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            deadline = time.monotonic() + 60
+            while job.current_ck is None or not job.current_ck.ready:
+                assert time.monotonic() < deadline, "worker never got ready"
+                await asyncio.sleep(0.01)
+            worker = job.current_ck.proc.pid
+            _, template = proc_stat(worker)
+            await queue.drain(grace=0.5)
+            return worker, template
+
+        worker, template = run_async(go())
+        assert template != os.getpid(), "the worker was not forked by a template"
+        assert not running(worker)
+        assert not running(template)
+
+    def test_kill_all_leaves_the_exit_status_to_the_supervisor(self, tmp_path):
+        # kill_all runs on the drain's thread while the attempt's own
+        # supervisor waits on the same child.  A forked child's exit
+        # status can be read only once, so if kill_all read it too the
+        # supervisor would report exit code 255 instead of signal 9.
+        failpoints.configure("worker.hang=*@task_ge:1@param:60")
+        pool = WorkerPool(1, spool=tmp_path)
+        job = Job(id="j", spec=RunSpec("md5", "tdnuca", scale=SCALE))
+        job.attempts = 1
+        died = []
+
+        def attempt():
+            try:
+                pool.run_attempt(job, None)
+            except WorkerDied as exc:
+                died.append(exc)
+
+        supervisor = threading.Thread(target=attempt)
+        supervisor.start()
+        deadline = time.monotonic() + 60
+        while job.current_ck is None or not job.current_ck.ready:
+            assert time.monotonic() < deadline, "worker never got ready"
+            time.sleep(0.01)
+        assert pool.kill_all() == 1
+        assert pool.stats()["alive"] == 0
+        supervisor.join(timeout=30)
+        assert not supervisor.is_alive()
+        assert [exc.term_signal for exc in died] == [signal.SIGKILL]
 
 
 class TestCrashRecovery:
