@@ -130,7 +130,6 @@ def bench_cell(case, kernel: str, denom: int, repeats: int) -> dict:
                 "tasks_total": ks.tasks_total,
                 "tasks_vector": ks.tasks_vector,
                 "tasks_reference": ks.tasks_reference,
-                "tasks_mixed": ks.tasks_mixed,
                 "fallback_reasons": dict(ks.fallback_reasons),
             }
     return {

@@ -129,7 +129,8 @@ def _phase_reclaim(tmp: Path, lu_ref: dict, md5_ref: dict) -> None:
     """kill -9 the claim owner; a survivor resumes byte-identically."""
     fleet = tmp / "fleet1"
     proc_a, client_a = _start_host(
-        fleet, tmp / "cache-a", "host-a", REPRO_SERVICE_SLOW="0.5",
+        fleet, tmp / "cache-a", "host-a",
+        REPRO_FAILPOINTS="queue.attempt.slow=*@param:0.5",
     )
     proc_b, client_b = _start_host(fleet, tmp / "cache-b", "host-b")
     proc_c, client_c = _start_host(fleet, tmp / "cache-c", "host-c")
@@ -248,8 +249,9 @@ def _phase_fence(tmp: Path, lu_ref: dict) -> None:
     proc_d, client_d = _start_host(
         fleet, tmp / "cache-d", "host-d",
         lease_timeout=1.0,
-        REPRO_FAILPOINTS="fleet.lease.skew=1@after:4@param:12",
-        REPRO_SERVICE_SLOW="5",
+        REPRO_FAILPOINTS=(
+            "fleet.lease.skew=1@after:4@param:12;queue.attempt.slow=*@param:5"
+        ),
     )
     proc_e, client_e = _start_host(
         fleet, tmp / "cache-e", "host-e", lease_timeout=1.0,

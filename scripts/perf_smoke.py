@@ -16,10 +16,6 @@ coherence/eviction call chains).  If you trip one with a real feature,
 re-measure with ``scripts/profile_simulator.py --json --kernel <k>`` and
 raise the ceiling in the same commit, stating the new measured count.
 
-When NumPy is unavailable the vector kernel falls back to the reference
-path per task; its leg is then checked against the reference ceiling, so
-the no-numpy CI job still runs this script unchanged.
-
 Usage: ``PYTHONPATH=src python scripts/perf_smoke.py``
 """
 
@@ -32,7 +28,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from profile_simulator import profile_run  # noqa: E402
-from repro.sim.kernels import numpy_available  # noqa: E402
 
 WORKLOAD = "kmeans"
 POLICY = "tdnuca"
@@ -56,8 +51,6 @@ def main() -> int:
     reference_calls = reference_refs = None
     for kernel in ("reference", "vector"):
         ceiling = CALL_CEILINGS[kernel]
-        if kernel == "vector" and not numpy_available():
-            ceiling = CALL_CEILINGS["reference"]
         result, stats = profile_run(WORKLOAD, POLICY, DENOM, kernel=kernel)
         calls = stats.total_calls
         references = result.machine.l1.accesses

@@ -5,8 +5,8 @@ End-to-end through the real CLI:
 
 1. Run an uninterrupted reference sweep and keep its merged JSON.
 2. Start the same sweep fresh, SIGTERM it mid-flight (the
-   ``REPRO_HARNESS_SLOW`` hook holds workers long enough for the signal
-   to land), and require exit code 75 (``EX_TEMPFAIL``) with a
+   ``harness.worker.slow`` failpoint holds workers long enough for the
+   signal to land), and require exit code 75 (``EX_TEMPFAIL``) with a
    ``sweep_status: "interrupted"`` manifest and no surviving worker
    processes.
 3. Resume the sweep and assert the merged JSON equals the uninterrupted
@@ -72,7 +72,8 @@ def main() -> int:
         # 2. Same sweep, SIGTERMed mid-flight.
         proc = subprocess.Popen(
             _sweep_args(out, run_dir),
-            env=_env(REPRO_HARNESS_SLOW="8"), cwd=ROOT,
+            env=_env(REPRO_FAILPOINTS="harness.worker.slow=*@param:8"),
+            cwd=ROOT,
         )
         time.sleep(SIGTERM_AFTER)
         proc.send_signal(signal.SIGTERM)

@@ -38,7 +38,6 @@ from repro.scenario import (  # noqa: E402
     parse_scenario,
     scenario_names,
 )
-from repro.sim.kernels import numpy_available  # noqa: E402
 from repro.snapshot.format import config_sha256  # noqa: E402
 
 MALFORMED = ROOT / "tests" / "scenario" / "fixtures" / "malformed.yaml"
@@ -100,9 +99,7 @@ def check_both_kernels() -> int:
     if stats["reference"] != stats["vector"]:
         print(f"FAIL: {BOTH_KERNELS_SCENARIO} diverges across kernels")
         return 1
-    fallback = "" if numpy_available() else " (vector fell back to reference)"
-    print(f"ok   {BOTH_KERNELS_SCENARIO} byte-identical under both "
-          f"kernels{fallback}")
+    print(f"ok   {BOTH_KERNELS_SCENARIO} byte-identical under both kernels")
     return 0
 
 

@@ -178,7 +178,9 @@ def main() -> int:
         )
 
         # -------------------------------- SIGTERM drains to a snapshot
-        proc, client = _start_server(tmp, REPRO_SERVICE_SLOW="1.5")
+        proc, client = _start_server(
+            tmp, REPRO_FAILPOINTS="queue.attempt.slow=*@param:1.5"
+        )
         client.submit_run(workload="lu", policy="tdnuca", scale=512)
         time.sleep(KILL_AFTER)
         rc, _ = _stop(proc)
@@ -217,7 +219,9 @@ def main() -> int:
         # A fresh cell (scale 128: not cached, no snapshot, ~6 s of work)
         # so the periodic checkpointer — not the drain — is what survives
         # the SIGKILL.
-        proc, client = _start_server(tmp, REPRO_SERVICE_SLOW="0.5")
+        proc, client = _start_server(
+            tmp, REPRO_FAILPOINTS="queue.attempt.slow=*@param:0.5"
+        )
         client.submit_run(workload="lu", policy="tdnuca", scale=128)
         time.sleep(KILL_AFTER)
         orphans = _descendants(proc.pid)

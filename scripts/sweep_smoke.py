@@ -2,7 +2,7 @@
 """CI smoke test for the crash-tolerant sweep harness.
 
 Runs a 2-workload parallel sweep through the real CLI with one injected
-worker crash (the ``REPRO_HARNESS_CRASH`` chaos hook), verifies the sweep
+worker crash (the ``harness.worker.crash`` failpoint), verifies the sweep
 degrades gracefully (remaining jobs complete, failure archived in the
 manifest and the merged JSON), then resumes it and asserts the merged
 output is complete, failure-free, and that already-finished shards were
@@ -48,7 +48,9 @@ def main() -> int:
             "--out", str(out), "--run-dir", str(run_dir),
         ]
 
-        rc = repro(sweep, REPRO_HARNESS_CRASH=CRASH_JOB)
+        rc = repro(
+            sweep, REPRO_FAILPOINTS=f"harness.worker.crash=*@job:{CRASH_JOB}"
+        )
         assert rc == 1, f"faulted sweep should exit 1, got {rc}"
 
         first = json.loads(out.read_text())

@@ -54,7 +54,7 @@ from repro.config import SystemConfig, paper_config, scaled_config
 from repro.deps import DepMode
 from repro.scenario import Scenario, ScenarioError, load_scenario, scenario_names
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Session",

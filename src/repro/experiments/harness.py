@@ -81,8 +81,6 @@ __all__ = [
     "MANIFEST_NAME",
     "SHARD_DIR",
     "SNAPSHOT_DIR",
-    "CRASH_ENV",
-    "SLOW_ENV",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -103,15 +101,6 @@ PERMANENT_ERRORS = (
     AttributeError,
     NotImplementedError,
 )
-
-#: deprecated chaos hook (now an alias for the ``harness.worker.crash``
-#: failpoint): set to a job label ("workload/policy") and every isolated
-#: worker for that job exits hard with status 99 before running.
-CRASH_ENV = "REPRO_HARNESS_CRASH"
-
-#: deprecated chaos hook (now an alias for the ``harness.worker.slow``
-#: failpoint): seconds every worker sleeps before running its job.
-SLOW_ENV = "REPRO_HARNESS_SLOW"
 
 
 @dataclass(frozen=True)
@@ -365,8 +354,8 @@ def _worker_main(conn_w, runner, job: Job, cfg: Any, ck_spec=None) -> None:
     """Worker entry point (module-level so ``spawn`` can pickle it)."""
     from repro import failpoints
 
-    # Chaos site (the old CRASH_ENV hook feeds it as a deprecated alias):
-    # default action exits hard with status 99, emulating a native crash.
+    # Chaos site: default action exits hard with status 99, emulating a
+    # native crash.
     failpoints.fire("harness.worker.crash", job=job.label)
     ck = _build_checkpointer(ck_spec)
     if ck is not None:
@@ -381,8 +370,8 @@ def _worker_main(conn_w, runner, job: Job, cfg: Any, ck_spec=None) -> None:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
         except ValueError:  # pragma: no cover - non-main-thread embedding
             pass
-    # Chaos site (the old SLOW_ENV hook feeds it): sleep before running,
-    # so an interrupting signal reliably lands mid-flight.
+    # Chaos site: sleep before running, so an interrupting signal
+    # reliably lands mid-flight.
     failpoints.fire("harness.worker.slow", job=job.label)
     try:
         result = runner(job, cfg, **_checkpoint_kwargs(ck, ck_spec))

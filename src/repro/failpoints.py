@@ -1,14 +1,9 @@
 """Deterministic failpoint framework: named, seed-driven fault injection.
 
-Chaos hooks used to be ad-hoc environment variables scattered across the
-sweep harness (``REPRO_HARNESS_CRASH``) and the service queue
-(``REPRO_SERVICE_SLOW``/``REPRO_SERVICE_CRASH``), each with its own
-parsing, its own semantics, and no way to bound *how often* it fired.
-This module replaces them with a single registry of **named injection
-sites** threaded through the service, harness, cache, and snapshot
-layers.  A site does nothing — costs one dict lookup — until a spec
-activates it, so production paths pay nothing for the chaos they don't
-ask for.
+One registry of **named injection sites** is threaded through the
+service, harness, cache, and snapshot layers.  A site does nothing —
+costs one dict lookup — until a spec activates it, so production paths
+pay nothing for the chaos they don't ask for.
 
 Spec grammar (``REPRO_FAILPOINTS`` or :func:`configure`)::
 
@@ -52,17 +47,6 @@ failing chaos run replays exactly.  Hit/firing counters are per-process;
 cross-process determinism (the worker pool respawns children) comes from
 context filters like ``@attempt:1``/``@task_ge:N`` rather than counters.
 
-The legacy environment hooks still work as deprecated aliases — each is
-translated into an equivalent rule with a one-time
-:class:`DeprecationWarning`:
-
-====================== ============================================
-``REPRO_HARNESS_CRASH``  ``harness.worker.crash=*@job:<value>``
-``REPRO_HARNESS_SLOW``   ``harness.worker.slow=*@param:<value>``
-``REPRO_SERVICE_SLOW``   ``queue.attempt.slow=*@param:<value>``
-``REPRO_SERVICE_CRASH``  ``queue.attempt.crash=*@job:<value>``
-====================== ============================================
-
 This module is dependency-free (stdlib only) so any layer — including
 the snapshot format reader imported during package init — can use it
 without import cycles.
@@ -75,7 +59,6 @@ import random
 import signal
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -84,7 +67,6 @@ __all__ = [
     "FAILPOINTS_SEED_ENV",
     "SITES",
     "ACTIONS",
-    "LEGACY_ALIASES",
     "FailpointError",
     "PermanentFailpointError",
     "Rule",
@@ -112,11 +94,11 @@ SITES: dict[str, str] = {
     "worker.hang": "sleep",           # stop heartbeating (lease expiry path)
     "worker.oom": "oom",              # allocate until MemoryError
     "worker.start.crash": "exit",     # die before simulating anything
-    "queue.attempt.slow": "sleep",    # legacy REPRO_SERVICE_SLOW
-    "queue.attempt.crash": "exit",    # legacy REPRO_SERVICE_CRASH
+    "queue.attempt.slow": "sleep",    # stall a queue attempt
+    "queue.attempt.crash": "exit",    # die inside a queue attempt
     "queue.drain.stall": "sleep",     # stall the drain loop's entry
-    "harness.worker.crash": "exit",   # legacy REPRO_HARNESS_CRASH
-    "harness.worker.slow": "sleep",   # legacy REPRO_HARNESS_SLOW
+    "harness.worker.crash": "exit",   # die inside a sweep worker
+    "harness.worker.slow": "sleep",   # stall a sweep worker
     "cache.write.torn": "corrupt",    # torn result-cache entry write
     "snapshot.write.torn": "corrupt",  # torn snapshot write
     "snapshot.read.corrupt": "corrupt",  # bit rot on snapshot read
@@ -136,15 +118,6 @@ ACTIONS = (
     "oom",
     "corrupt",
 )
-
-#: legacy env var -> (site, kind) where kind is "job" (value is a job
-#: label filter) or "param" (value is the action parameter).
-LEGACY_ALIASES: dict[str, tuple[str, str]] = {
-    "REPRO_HARNESS_CRASH": ("harness.worker.crash", "job"),
-    "REPRO_HARNESS_SLOW": ("harness.worker.slow", "param"),
-    "REPRO_SERVICE_SLOW": ("queue.attempt.slow", "param"),
-    "REPRO_SERVICE_CRASH": ("queue.attempt.crash", "job"),
-}
 
 #: modifier keys with dedicated meaning; everything else is a filter.
 _RESERVED_MODIFIERS = ("p", "after", "action", "param")
@@ -396,45 +369,14 @@ def _perform(rule: Rule, site: str, ctx: dict[str, Any]) -> None:
 _INACTIVE = Failpoints([])
 _state: dict[str, Any] = {"fp": _INACTIVE, "fingerprint": None, "explicit": False}
 _state_lock = threading.Lock()
-_warned_legacy: set[str] = set()
 
 
 def _env_fingerprint() -> tuple[str | None, ...]:
-    keys = (FAILPOINTS_ENV, FAILPOINTS_SEED_ENV, *LEGACY_ALIASES)
-    return tuple(os.environ.get(k) for k in keys)
-
-
-def _warn_legacy(var: str, replacement: str) -> None:
-    if var in _warned_legacy:
-        return
-    _warned_legacy.add(var)
-    warnings.warn(
-        f"{var} is deprecated; use {FAILPOINTS_ENV}='{replacement}' instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
+    return tuple(os.environ.get(k) for k in (FAILPOINTS_ENV, FAILPOINTS_SEED_ENV))
 
 
 def _from_env() -> Failpoints:
-    entries: list[str] = []
     spec = os.environ.get(FAILPOINTS_ENV, "").strip()
-    if spec:
-        entries.append(spec)
-    for var, (site, kind) in LEGACY_ALIASES.items():
-        value = os.environ.get(var, "").strip()
-        if not value:
-            continue
-        if kind == "param":
-            try:
-                if float(value) <= 0:  # the old hooks treated 0 as off
-                    continue
-            except ValueError:
-                continue
-            entry = f"{site}=*@param:{value}"
-        else:
-            entry = f"{site}=*@job:{value}"
-        _warn_legacy(var, entry)
-        entries.append(entry)
     raw_seed = os.environ.get(FAILPOINTS_SEED_ENV, "").strip()
     try:
         seed = int(raw_seed) if raw_seed else 0
@@ -442,10 +384,9 @@ def _from_env() -> Failpoints:
         raise ValueError(
             f"{FAILPOINTS_SEED_ENV} must be an integer, got {raw_seed!r}"
         ) from None
-    joined = ";".join(entries)
-    if not joined:
+    if not spec:
         return _INACTIVE
-    return Failpoints(parse_spec(joined, seed), spec=joined, seed=seed)
+    return Failpoints(parse_spec(spec, seed), spec=spec, seed=seed)
 
 
 def get() -> Failpoints:
@@ -477,13 +418,11 @@ def configure(spec: str, seed: int = 0) -> Failpoints:
 
 def reset() -> None:
     """Drop any explicit configuration and all parse caches; the next
-    :func:`get` re-reads the environment.  Also re-arms the one-time
-    legacy deprecation warnings (tests rely on this)."""
+    :func:`get` re-reads the environment."""
     with _state_lock:
         _state["fp"] = _INACTIVE
         _state["fingerprint"] = None
         _state["explicit"] = False
-    _warned_legacy.clear()
 
 
 def fire(site: str, **ctx: Any) -> bool:

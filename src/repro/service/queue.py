@@ -60,8 +60,7 @@ In **fleet mode** (constructed with a
   every host, not just this one.
 
 Failure injection for all of the above goes through the deterministic
-failpoint registry (:mod:`repro.failpoints`); the old ad-hoc env hooks
-remain as deprecated aliases.
+failpoint registry (:mod:`repro.failpoints`).
 """
 
 from __future__ import annotations
@@ -99,17 +98,7 @@ __all__ = [
     "JobQueue",
     "CircuitBreaker",
     "EventBuffer",
-    "SLOW_ENV",
-    "CRASH_ENV",
 ]
-
-#: deprecated chaos hook (now an alias for the ``queue.attempt.slow``
-#: failpoint): seconds every job attempt sleeps before simulating.
-SLOW_ENV = "REPRO_SERVICE_SLOW"
-
-#: deprecated chaos hook (now an alias for the ``queue.attempt.crash``
-#: failpoint): a job label whose worker process exits before running.
-CRASH_ENV = "REPRO_SERVICE_CRASH"
 
 #: job states.  ``preempted`` is terminal for this server instance but not
 #: for the work: the snapshot in the spool resumes it on resubmission.

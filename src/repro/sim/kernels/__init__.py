@@ -11,13 +11,14 @@ implementations exist:
     backend is defined as "byte-identical MachineStats to reference".
 
 ``vector``
-    A numpy backend that batches the per-trace work — RRT resolution via
-    ``np.searchsorted``, bank decode over unique masks, prefix-summable
-    flag counters — around a lean event loop.  Optional: it requires
-    numpy and falls back (warning once) to ``reference`` when numpy is
-    missing, and it dispatches per task, deferring to the reference loop
-    whenever the machine is in a state it does not model (tracing hooks,
-    DRAM transients, dead banks, non-PLRU replacement, D-NUCA).
+    A fused, specialization-heavy interpreter with the reference loop's
+    event order (``vector.py``): it inlines the per-event method calls,
+    memoizes the last-hit RRT range and derives counters at commit time.
+    It runs every task whatever its length — at full scale it beat a
+    numpy-batched phased engine on every measured cell (DESIGN.md §13) —
+    and dispatches per task, deferring to the reference loop whenever the
+    machine is in a state it does not model (tracing hooks, DRAM
+    transients, dead banks, non-PLRU replacement, D-NUCA).
 
 ``verify``
     A debug harness that runs *both* kernels on every task and raises
@@ -25,15 +26,13 @@ implementations exist:
     through the ``kernel.dispatch.mismatch`` failpoint).
 
 Selection precedence: ``REPRO_KERNEL`` env var > ``SystemConfig.kernel``;
-``auto`` resolves to ``vector`` when numpy is importable (and not masked
-by ``REPRO_KERNEL_DISABLE_NUMPY=1``), else ``reference``.  The golden
-snapshot suite is the equivalence gate — see DESIGN.md §13.
+``auto`` resolves to ``vector``.  The golden snapshot suite is the
+equivalence gate — see DESIGN.md §13.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "KernelStats",
     "SimKernel",
     "make_kernel",
-    "numpy_available",
     "resolve_kernel_name",
 ]
 
@@ -51,11 +49,6 @@ KERNEL_NAMES = ("auto", "reference", "vector", "verify")
 
 #: env var overriding the configured kernel (highest precedence).
 KERNEL_ENV = "REPRO_KERNEL"
-
-#: env var simulating a numpy-less install for the optional-dependency
-#: path (the package core itself needs numpy, so CI proves the reference
-#: kernel never touches the vector module through this gate instead).
-DISABLE_NUMPY_ENV = "REPRO_KERNEL_DISABLE_NUMPY"
 
 
 class KernelMismatchError(AssertionError):
@@ -69,13 +62,10 @@ class KernelStats:
     service result cache can share entries across kernels)."""
 
     tasks_total: int = 0
-    #: tasks fully executed by the vector fast path.
+    #: tasks executed by the vector kernel's fused engine.
     tasks_vector: int = 0
     #: tasks executed by the reference loop (including per-task fallbacks).
     tasks_reference: int = 0
-    #: tasks the vector kernel started but finished with a reference
-    #: suffix after an own-core back-invalidation hazard.
-    tasks_mixed: int = 0
     #: tasks double-executed by verify mode.
     tasks_verified: int = 0
     #: reasons the vector kernel declined a task, by gate name.
@@ -104,17 +94,6 @@ class SimKernel:
         raise NotImplementedError
 
 
-def numpy_available() -> bool:
-    """True when the vector kernel's numpy dependency is usable."""
-    if os.environ.get(DISABLE_NUMPY_ENV, "") == "1":
-        return False
-    try:  # pragma: no cover - import always succeeds in-repo
-        import numpy  # noqa: F401
-    except Exception:  # pragma: no cover - exercised via the env gate
-        return False
-    return True
-
-
 def resolve_kernel_name(configured: str = "auto") -> str:
     """Apply the ``REPRO_KERNEL`` override and validate the name."""
     name = os.environ.get(KERNEL_ENV) or configured or "auto"
@@ -125,42 +104,18 @@ def resolve_kernel_name(configured: str = "auto") -> str:
     return name
 
 
-_warned_no_numpy = False
-
-
-def _warn_no_numpy_once(requested: str) -> None:
-    global _warned_no_numpy
-    if not _warned_no_numpy:
-        _warned_no_numpy = True
-        warnings.warn(
-            f"kernel {requested!r} requested but numpy is unavailable; "
-            "falling back to the reference kernel (install the [vector] "
-            "extra to enable the batched backend)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def make_kernel(name: str = "auto") -> SimKernel:
-    """Build the kernel for a resolved or raw selector name.
-
-    ``auto`` prefers ``vector`` and silently uses ``reference`` when
-    numpy is unavailable; an explicit ``vector``/``verify`` request warns
-    once before degrading.
-    """
+    """Build the kernel for a resolved or raw selector name (``auto``
+    builds ``vector``)."""
     name = resolve_kernel_name(name)
-    from repro.sim.kernels.reference import ReferenceKernel
-
     if name == "reference":
+        from repro.sim.kernels.reference import ReferenceKernel
+
         return ReferenceKernel()
-    if not numpy_available():
-        if name in ("vector", "verify"):
-            _warn_no_numpy_once(name)
-        return ReferenceKernel()
+    if name == "verify":
+        from repro.sim.kernels.verify import VerifyKernel
+
+        return VerifyKernel()
     from repro.sim.kernels.vector import VectorKernel
 
-    if name in ("vector", "auto"):
-        return VectorKernel()
-    from repro.sim.kernels.verify import VerifyKernel
-
-    return VerifyKernel()
+    return VectorKernel()

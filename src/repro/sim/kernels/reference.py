@@ -43,7 +43,7 @@ class ReferenceKernel(SimKernel):
 
 def run_blocks_interpreted(m, core, pblocks, writes, compute_per_access=None):
     """The flat loop itself, callable without a kernel object so the
-    vector backend can delegate per-task (and per-suffix) slices to it."""
+    vector backend can delegate per-task fallbacks to it."""
     # Local aliases: this loop runs per memory reference.  Latency,
     # traffic and energy deltas that are fixed per event kind are
     # accumulated in local integers and applied once after the loop;

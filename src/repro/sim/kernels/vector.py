@@ -1,48 +1,18 @@
-"""The vector simulation kernel: specialized per-task batch execution.
+"""The vector simulation kernel: a specialized per-task interpreter.
 
 Profiling at experiment scales shows the tiny scaled L1 misses ~90-97%
 of references, so the *miss* path is what must get cheaper.  The kernel
-has two engines, picked per task by trace length:
-
-Fused engine (traces below :data:`NUMPY_MIN_REFS` — the common case)
-    A single-pass interpreter with the reference loop's exact event
-    order, specialized for the preconditions the dispatch gate already
-    guarantees (Tree-PLRU, fault-free DRAM, no dead banks, no D-NUCA,
-    TD-NUCA/S-NUCA policy).  It drops the reference loop's per-event
-    capability branches, inlines every remaining per-event method call
-    (S-NUCA resolution, write-hit upgrades, LLC probe/insert, the whole
-    eviction cascade), memoizes the last-hit RRT range so repeated
-    lookups in a task's dependency regions skip the bisect, and derives
-    several counters at commit time instead of per event.
-
-Phased engine (long traces), three stages:
-
-    Phase A — a lean sequential pass simulating only the private L1
-    (probe, fill, PLRU, dirty flags), emitting one event tuple per miss
-    and per write hit.  Sound in isolation because within a task nothing
-    else can change this core's L1 — except an own-core LLC
-    back-invalidation, the *hazard* handled below.
-
-    Bank resolution — all miss blocks (demand + dirty-victim
-    writebacks) resolve to LLC banks as arrays: RRT range lookup via
-    ``np.searchsorted`` (bit-equal to ``bisect_right``), bank-set decode
-    grouped by unique RRT mask, per-resolution stats as vector sums.
-
-    Phase B — a sequential pass over the events in position order
-    driving everything order-sensitive: directory, LLC banks, DRAM
-    open-row, coherence, eviction cascades, with the same inlining as
-    the fused engine.
-
-Hazard handling (phased engine)
-    If an LLC eviction back-invalidates a block out of *this* core's L1
-    (rare), phase B's L1 (already at end-of-task state) is rewound by
-    replaying the trace prefix onto an entry snapshot, the invalidation
-    is applied to the now time-accurate L1, the current position is
-    finished, the batched stats for the prefix are committed, and the
-    rest of the trace runs on the reference interpreter.  Every counter,
-    cycle term and traffic batch is additive, so prefix + suffix equals
-    the reference end state exactly.  (The fused engine processes events
-    in true time order, so it has no hazard at all.)
+runs every eligible task through one fused engine: a single-pass
+interpreter with the reference loop's exact event order, specialized for
+the preconditions the dispatch gate already guarantees (Tree-PLRU,
+fault-free DRAM, no dead banks, no D-NUCA, TD-NUCA/S-NUCA policy).  It
+drops the reference loop's per-event capability branches, inlines every
+remaining per-event method call (S-NUCA resolution, write-hit upgrades,
+LLC probe/insert, the whole eviction cascade), memoizes the last-hit RRT
+range so repeated lookups in a task's dependency regions skip the
+bisect, and derives several counters at commit time instead of per
+event.  Because it processes events in true time order, an own-core
+back-invalidation needs no special handling.
 
 Per-task dispatch falls back to the reference loop whenever the machine
 is in a state this kernel does not model: tracing hooks, D-NUCA, DRAM
@@ -54,8 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-import numpy as np
-
 from repro.core.rrt import decode_bank_mask
 from repro.core.tdnuca import TdNucaPolicy
 from repro.noc.traffic import CONTROL_BYTES, MessageClass
@@ -64,16 +32,7 @@ from repro.nuca.snuca import SNuca
 from repro.sim.kernels import SimKernel
 from repro.sim.kernels.reference import run_blocks_interpreted
 
-__all__ = ["VectorKernel", "NUMPY_MIN_REFS"]
-
-#: trace length below which the fused single-pass interpreter runs
-#: instead of the phased numpy path.  Measured on CPython 3.12: the
-#: fused loop wins at every paper-scale trace length (tasks run a few
-#: hundred to a few thousand references, and per-miss work is dict-bound
-#: state machines numpy cannot batch), so the threshold defaults past
-#: them; the phased path stays correct (cross-kernel equivalence tests
-#: pin it) for traces long enough that batched resolution amortizes.
-NUMPY_MIN_REFS = 65536
+__all__ = ["VectorKernel"]
 
 _REQUEST = int(MessageClass.REQUEST)
 _DATA = int(MessageClass.DATA)
@@ -85,7 +44,7 @@ _DRAM_DATA = int(MessageClass.DRAM_DATA)
 
 
 class VectorKernel(SimKernel):
-    """Batched backend; dispatches per task, reference on slow paths."""
+    """Fused-engine backend; dispatches per task, reference on slow paths."""
 
     name = "vector"
 
@@ -98,15 +57,8 @@ class VectorKernel(SimKernel):
             return run_blocks_interpreted(
                 m, core, pblocks, writes, compute_per_access
             )
-        if len(pblocks) < NUMPY_MIN_REFS:
-            cycles = _run_fused(m, core, pblocks, writes, compute_per_access)
-            self.stats.tasks_vector += 1
-            return cycles
-        cycles, mixed = _run_vector(m, core, pblocks, writes, compute_per_access)
-        if mixed:
-            self.stats.tasks_mixed += 1
-        else:
-            self.stats.tasks_vector += 1
+        cycles = _run_fused(m, core, pblocks, writes, compute_per_access)
+        self.stats.tasks_vector += 1
         return cycles
 
 
@@ -131,7 +83,7 @@ def _fallback_reason(m, core):
 
 
 def _run_fused(m, core, pblocks, writes, compute_per_access):
-    """Single-pass specialized interpreter for short traces.
+    """Single-pass specialized interpreter for one task's trace.
 
     Same event order as the reference loop, but specialized for the
     fast-path preconditions the dispatch gate already guarantees (PLRU
@@ -140,9 +92,9 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
     capability branches, inline its remaining per-event method calls
     (S-NUCA bank resolution, write-hit upgrades, LLC insert/probe, the
     whole eviction cascade) and derive more counters at commit time.
-    Short traces are the common case at paper experiment scales, where a
-    task runs a few hundred references — far too few for per-task numpy
-    batching to amortize its fixed costs.
+    It runs traces of every length: per-miss work is dict-bound state
+    machines that array batching cannot amortize, even on full-scale
+    tasks of 10^5 references (DESIGN.md §13).
     """
     lat = m.latency
     l1 = m.l1s[core]
@@ -596,670 +548,3 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
     m._flush_traffic()
 
     return cycles
-
-
-def _resolve_banks_np(blocks, core, td_starts, td_ends, td_masks,
-                      td_shift, td_bank_mask):
-    """Vectorized TD-NUCA bank resolution for one int64 block array.
-
-    Returns ``(banks, n_rrt_hits, n_bypass, n_local)``; the counts match
-    the reference loop's per-resolution stats exactly.
-    """
-    nb_ev = len(blocks)
-    if td_starts is not None and nb_ev:
-        paddr = blocks << td_shift
-        idx = np.searchsorted(td_starts, paddr, side="right") - 1
-        valid = idx >= 0
-        idx0 = np.where(valid, idx, 0)
-        rrt_hit = valid & (paddr < td_ends[idx0])
-        mask_vals = np.where(rrt_hit, td_masks[idx0], -1)
-    else:
-        rrt_hit = np.zeros(nb_ev, dtype=bool)
-        mask_vals = np.full(nb_ev, -1, dtype=np.int64)
-    banks = np.empty(nb_ev, dtype=np.int64)
-    no_entry = mask_vals == -1
-    banks[no_entry] = blocks[no_entry] & td_bank_mask
-    is_bypass = mask_vals == 0
-    banks[is_bypass] = BYPASS
-    spread = ~(no_entry | is_bypass)
-    if spread.any():
-        for mval in np.unique(mask_vals[spread]):
-            sel = mask_vals == mval
-            dbanks = np.asarray(decode_bank_mask(int(mval)), dtype=np.int64)
-            if len(dbanks) == 1:
-                banks[sel] = dbanks[0]
-            else:
-                banks[sel] = dbanks[blocks[sel] % len(dbanks)]
-    return (
-        banks,
-        int(rrt_hit.sum()),
-        int(is_bypass.sum()),
-        int((banks == core).sum()),
-    )
-
-
-def _run_vector(m, core, pblocks, writes, compute_per_access):
-    """Execute one task's trace; returns ``(cycles, hazard_happened)``."""
-    lat = m.latency
-    l1 = m.l1s[core]
-    l1_sets = l1._map
-    l1_ways = l1._ways
-    l1_assoc = l1.assoc
-    l1_mask = l1._set_mask
-    l1_dirty = l1._dirty
-    l1_repl = l1._repl
-    policy = m.policy
-    td_fast = type(policy) is TdNucaPolicy
-    compute = lat.compute if compute_per_access is None else compute_per_access
-    bypass = BYPASS
-    blocks_list = pblocks.tolist()
-    writes_list = writes.tolist()
-    use_numpy = len(blocks_list) >= NUMPY_MIN_REFS
-
-    if td_fast:
-        td_rrt = policy.rrts[core]
-        td_table = td_rrt._tables.get(td_rrt._active_pid)
-        td_starts = td_ends = td_masks = None
-        if td_table is not None and td_table.starts:
-            td_starts = td_table.starts
-            td_ends = td_table.ends
-            td_masks = td_table.masks
-        td_shift = policy._block_shift
-        td_bank_mask = policy._bank_mask
-        sn_mask = 0
-    else:
-        sn_mask = policy._mask
-        td_starts = td_ends = td_masks = None
-        td_shift = td_bank_mask = 0
-
-    # Entry snapshot of the (tiny) L1 for the hazard rewind.
-    snap_map = [d.copy() for d in l1_sets]
-    snap_ways = [list(w) for w in l1_ways]
-    snap_dirty = [list(d) for d in l1_dirty]
-    snap_bits = [r._bits for r in l1_repl]
-
-    # ---- Phase A: L1-only sweep, emitting miss / write-hit events ----
-    miss = []          # (pos, block, write, ev_block(-1), ev_dirty)
-    whit_pos = []      # positions of write hits (coherence in phase B)
-    whit_block = []
-    bank_list = []     # demand bank per miss (python resolution mode)
-    wb_bank_list = []  # writeback bank per dirty eviction (same order)
-    miss_append = miss.append
-    wp_append = whit_pos.append
-    wblk_append = whit_block.append
-    bank_append = bank_list.append
-    wbb_append = wb_bank_list.append
-    resolve_inline = not use_numpy
-    n_rrt_hits = 0
-    n_bypass = 0
-    n_local = 0
-    l1_evs = 0
-    pos = -1
-    for block, write in zip(blocks_list, writes_list):
-        pos += 1
-        s = block & l1_mask
-        smap = l1_sets[s]
-        way = smap.get(block)
-        repl = l1_repl[s]
-        if way is not None:
-            repl._bits = (repl._bits | repl._or[way]) & repl._and[way]
-            if write:
-                l1_dirty[s][way] = True
-                wp_append(pos)
-                wblk_append(block)
-            continue
-        sways = l1_ways[s]
-        if len(smap) < l1_assoc:
-            way = sways.index(None)
-            ev = -1
-            evd = False
-        else:
-            way = repl._victim[repl._bits]
-            ev = sways[way]
-            evd = l1_dirty[s][way]
-            del smap[ev]
-            l1_evs += 1
-        sways[way] = block
-        smap[block] = way
-        l1_dirty[s][way] = write
-        repl._bits = (repl._bits | repl._or[way]) & repl._and[way]
-        miss_append((pos, block, write, ev, evd))
-        if resolve_inline:
-            # TdNucaPolicy.bank_for / SNuca.bank_for inlined (same logic
-            # as the reference loop; stats batched into local counters).
-            if td_fast:
-                mask_bits = None
-                if td_starts is not None:
-                    paddr = block << td_shift
-                    ti = bisect_right(td_starts, paddr) - 1
-                    if ti >= 0 and paddr < td_ends[ti]:
-                        n_rrt_hits += 1
-                        mask_bits = td_masks[ti]
-                if mask_bits is None:
-                    bank = block & td_bank_mask
-                    if bank == core:
-                        n_local += 1
-                elif mask_bits == 0:
-                    n_bypass += 1
-                    bank = bypass
-                else:
-                    dbanks = decode_bank_mask(mask_bits)
-                    nb = len(dbanks)
-                    bank = dbanks[0] if nb == 1 else dbanks[block % nb]
-                    if bank == core:
-                        n_local += 1
-            else:
-                bank = block & sn_mask
-                if bank == core:
-                    n_local += 1
-            bank_append(bank)
-            if evd:
-                if td_fast:
-                    mask_bits = None
-                    if td_starts is not None:
-                        paddr = ev << td_shift
-                        ti = bisect_right(td_starts, paddr) - 1
-                        if ti >= 0 and paddr < td_ends[ti]:
-                            n_rrt_hits += 1
-                            mask_bits = td_masks[ti]
-                    if mask_bits is None:
-                        wb_bank = ev & td_bank_mask
-                        if wb_bank == core:
-                            n_local += 1
-                    elif mask_bits == 0:
-                        n_bypass += 1
-                        wb_bank = bypass
-                    else:
-                        dbanks = decode_bank_mask(mask_bits)
-                        nb = len(dbanks)
-                        wb_bank = dbanks[0] if nb == 1 else dbanks[ev % nb]
-                        if wb_bank == core:
-                            n_local += 1
-                else:
-                    wb_bank = ev & sn_mask
-                    if wb_bank == core:
-                        n_local += 1
-                wbb_append(wb_bank)
-
-    # ---- Batched bank resolution (large tasks) ----
-    if use_numpy and miss:
-        _pos_col, block_col, _w_col, ev_col, evd_col = zip(*miss)
-        mb = np.asarray(block_col, dtype=np.int64)
-        wb_blocks = np.asarray(
-            [e for e, d in zip(ev_col, evd_col) if d], dtype=np.int64
-        )
-        if td_fast:
-            starts_a = ends_a = masks_a = None
-            if td_starts is not None:
-                starts_a = np.asarray(td_starts, dtype=np.int64)
-                ends_a = np.asarray(td_ends, dtype=np.int64)
-                masks_a = np.asarray(td_masks, dtype=np.int64)
-            banks_d, h_d, b_d, c_d = _resolve_banks_np(
-                mb, core, starts_a, ends_a, masks_a, td_shift, td_bank_mask
-            )
-            banks_w, h_w, b_w, c_w = _resolve_banks_np(
-                wb_blocks, core, starts_a, ends_a, masks_a,
-                td_shift, td_bank_mask,
-            )
-            n_rrt_hits = h_d + h_w
-            n_bypass = b_d + b_w
-            n_local = c_d + c_w
-        else:
-            banks_d = mb & sn_mask
-            banks_w = wb_blocks & sn_mask
-            n_local = int((banks_d == core).sum()) + int(
-                (banks_w == core).sum()
-            )
-        bank_list = banks_d.tolist()
-        wb_bank_list = banks_w.tolist()
-
-    # ---- Phase B: position-ordered event loop ----
-    llc = m.llc
-    llc_banks = llc.banks
-    llc_mask = llc_banks[0]._set_mask
-    llc_assoc = llc_banks[0].assoc
-    dist_rows = m.mesh.dist_rows
-    dist_core = dist_rows[core]
-    directory = m.directory
-    on_l1_fill = directory.on_l1_fill
-    drop_block = directory.drop_block
-    d_sharers = directory._sharers
-    d_owner = directory._owner
-    d_stats = directory.stats
-    bit_core = 1 << core
-    not_bit_core = ~bit_core
-    whc = m._write_hit_coherence
-    coherence_actions = m._coherence_actions
-    dram = m.dram
-    dst = dram.stats
-    dram_open = dram._open_row
-    dram_tiles = dram.tiles
-    dram_n_mc = len(dram_tiles)
-    dram_row_blocks = dram.latency.dram_row_blocks
-    dram_row_hit_cyc = dram.latency.dram_row_hit
-    dram_miss_cyc = dram.latency.dram
-    energy = m.energy
-    data_bytes = m._data_bytes
-    data_flits = m._data_flits
-    ctrl_flits = m._ctrl_flits
-    acc_cb = m._acc_class_bytes
-
-    cycles = 0
-    llc_hits = 0
-    llc_misses = 0
-    llc_req_units = 0
-    dram_pairs = 0
-    dram_units = 0
-    wb_llc = 0
-    wb_units = 0
-    wb_dram = 0
-    d_reads = 0
-    d_writes = 0
-    d_row_hits = 0
-    d_row_misses = 0
-
-    hazard = False       # an own-core back-invalidation forced a rewind
-    l1_accurate = False  # True once the L1 has been rewound to "now"
-    entry_resident = None
-
-    def rewind(p):
-        """Rewind the L1 to its exact state after position ``p``."""
-        nonlocal l1_accurate, hazard
-        l1._map = sets_ = [d.copy() for d in snap_map]
-        l1._ways = ways_ = [list(w) for w in snap_ways]
-        l1._dirty = dirty_ = [list(d) for d in snap_dirty]
-        repls = l1_repl
-        for s_, bits in enumerate(snap_bits):
-            repls[s_]._bits = bits
-        for block_, write_ in zip(blocks_list[: p + 1], writes_list[: p + 1]):
-            s_ = block_ & l1_mask
-            smap_ = sets_[s_]
-            way_ = smap_.get(block_)
-            repl_ = repls[s_]
-            if way_ is None:
-                sways_ = ways_[s_]
-                if len(smap_) < l1_assoc:
-                    way_ = sways_.index(None)
-                else:
-                    way_ = repl_._victim[repl_._bits]
-                    del smap_[sways_[way_]]
-                sways_[way_] = block_
-                smap_[block_] = way_
-                dirty_[s_][way_] = write_
-            elif write_:
-                dirty_[s_][way_] = True
-            repl_._bits = (repl_._bits | repl_._or[way_]) & repl_._and[way_]
-        l1_accurate = True
-        hazard = True
-
-    def evict(bank_, victim, dirty, p, i):
-        """Mirror of ``Machine._llc_eviction`` with the own-core hazard
-        guard; the DRAM write and inclusion check are inlined (D-NUCA
-        and DRAM transients are excluded by the dispatch gate)."""
-        nonlocal entry_resident
-        dist_bank = dist_rows[bank_]
-        if dirty:
-            energy.llc_data_reads += 1
-            # Inlined fault-free MemoryControllers.write.
-            dst.writes += 1
-            mcix = victim % dram_n_mc
-            row = victim // dram_row_blocks
-            if dram_open.get(mcix) == row:
-                dst.row_hits += 1
-            else:
-                dst.row_misses += 1
-                dram_open[mcix] = row
-            routers = dist_bank[dram_tiles[mcix]] + 1
-            m._acc_router_bytes += data_bytes * routers
-            m._acc_flit_hops += data_flits * routers
-            m._acc_messages += 1
-            acc_cb[_WRITEBACK] += data_bytes
-            energy.dram_accesses += 1
-        # Inlined NucaLLC.any_bank_holds (inclusion check).
-        vs = victim & llc_mask
-        for bo in llc_banks:
-            if victim in bo._map[vs]:
-                return
-        for core_ in drop_block(victim):
-            routers = dist_bank[core_] + 1
-            m._acc_router_bytes += 2 * CONTROL_BYTES * routers
-            m._acc_flit_hops += 2 * ctrl_flits * routers
-            m._acc_messages += 2
-            acc_cb[_INVALIDATION] += CONTROL_BYTES
-            acc_cb[_ACK] += CONTROL_BYTES
-            if core_ == core and not l1_accurate:
-                # Phase B's own L1 is at end-of-task state; decide
-                # whether the invalidation could matter at time p.
-                if entry_resident is None:
-                    entry_resident = set()
-                    for d_ in snap_map:
-                        entry_resident.update(d_)
-                if victim in entry_resident or any(
-                    t[1] == victim for t in miss[: i + 1]
-                ):
-                    rewind(p)  # time-accurate from here on
-                else:
-                    # Provably never L1-resident up to p: the
-                    # reference invalidate would be a no-op.
-                    continue
-            present, was_dirty = m.l1s[core_].invalidate(victim)
-            if present and was_dirty:
-                dst.writes += 1
-                mcix = victim % dram_n_mc
-                row = victim // dram_row_blocks
-                if dram_open.get(mcix) == row:
-                    dst.row_hits += 1
-                else:
-                    dst.row_misses += 1
-                    dram_open[mcix] = row
-                routers = dist_rows[core_][dram_tiles[mcix]] + 1
-                m._acc_router_bytes += data_bytes * routers
-                m._acc_flit_hops += data_flits * routers
-                m._acc_messages += 1
-                acc_cb[_WRITEBACK] += data_bytes
-                energy.dram_accesses += 1
-
-    wi = 0
-    n_whit = len(whit_pos)
-    j = 0  # writeback-event cursor into wb_bank_list
-    i_end = len(miss)
-    n_c = len(blocks_list)
-    for i, (p, b, w, ev, evd) in enumerate(miss):
-        while wi < n_whit and whit_pos[wi] < p:
-            # Inlined Machine._write_hit_coherence fast path: this core
-            # already owns the line alone (or silently upgrades).
-            hb = whit_block[wi]
-            wi += 1
-            if d_sharers.get(hb, 0) & not_bit_core:
-                whc(core, hb)
-            elif d_owner.get(hb) != core:
-                on_l1_fill(core, hb, True)
-        bank = bank_list[i]
-
-        # Directory (identical inline to the reference loop).
-        mask = d_sharers.get(b, 0)
-        if w:
-            if mask & not_bit_core:
-                cycles += coherence_actions(core, b, bank, on_l1_fill(core, b, True))
-            else:
-                d_sharers[b] = bit_core
-                d_owner[b] = core
-        else:
-            owner = d_owner.get(b)
-            if owner is not None and owner != core:
-                cycles += coherence_actions(core, b, bank, on_l1_fill(core, b, False))
-            else:
-                d_sharers[b] = mask | bit_core
-        entries = len(d_sharers)
-        if entries > d_stats.entries_peak:
-            d_stats.entries_peak = entries
-
-        if bank == bypass:
-            dram_pairs += 1
-            mcix = b % dram_n_mc
-            row = b // dram_row_blocks
-            if dram_open.get(mcix) == row:
-                d_row_hits += 1
-                cycles += dram_row_hit_cyc
-            else:
-                d_row_misses += 1
-                dram_open[mcix] = row
-                cycles += dram_miss_cyc
-            d_reads += 1
-            dram_units += dist_core[dram_tiles[mcix]] + 1
-        else:
-            llc_req_units += dist_core[bank] + 1
-            bank_obj = llc_banks[bank]
-            bs = b & llc_mask
-            bmap = bank_obj._map[bs]
-            bway = bmap.get(b)
-            if bway is not None:
-                llc_hits += 1
-                bst = bank_obj.stats
-                bst.hits += 1
-                bst.read_hits += 1
-                repl = bank_obj._repl[bs]
-                repl._bits = (repl._bits | repl._or[bway]) & repl._and[bway]
-            else:
-                llc_misses += 1
-                bank_obj.stats.misses += 1
-                dram_pairs += 1
-                mcix = b % dram_n_mc
-                row = b // dram_row_blocks
-                if dram_open.get(mcix) == row:
-                    d_row_hits += 1
-                    cycles += dram_row_hit_cyc
-                else:
-                    d_row_misses += 1
-                    dram_open[mcix] = row
-                    cycles += dram_miss_cyc
-                d_reads += 1
-                dram_units += dist_rows[bank][dram_tiles[mcix]] + 1
-                # Inlined CacheBank._insert(b, False).
-                bways = bank_obj._ways[bs]
-                repl = bank_obj._repl[bs]
-                if len(bmap) < llc_assoc:
-                    bway = bways.index(None)
-                    bank_obj._occupancy += 1
-                else:
-                    bway = repl._victim[repl._bits]
-                    evicted = bways[bway]
-                    evicted_dirty = bank_obj._dirty[bs][bway]
-                    del bmap[evicted]
-                    bst = bank_obj.stats
-                    bst.evictions += 1
-                    if evicted_dirty:
-                        bst.dirty_evictions += 1
-                    bways[bway] = b
-                    bmap[b] = bway
-                    bank_obj._dirty[bs][bway] = False
-                    repl._bits = (repl._bits | repl._or[bway]) & repl._and[bway]
-                    evict(bank, evicted, evicted_dirty, p, i)
-                    bway = None
-                if bway is not None:
-                    bways[bway] = b
-                    bmap[b] = bway
-                    bank_obj._dirty[bs][bway] = False
-                    repl._bits = (repl._bits | repl._or[bway]) & repl._and[bway]
-
-        if evd:
-            wb_bank = wb_bank_list[j]
-            j += 1
-            # Inlined directory.on_l1_evict (dirty eviction).
-            mask = d_sharers.get(ev, 0) & not_bit_core
-            if mask:
-                d_sharers[ev] = mask
-            else:
-                d_sharers.pop(ev, None)
-            if d_owner.get(ev) == core:
-                del d_owner[ev]
-            if wb_bank == bypass:
-                wb_dram += 1
-                mcix = ev % dram_n_mc
-                row = ev // dram_row_blocks
-                if dram_open.get(mcix) == row:
-                    d_row_hits += 1
-                else:
-                    d_row_misses += 1
-                    dram_open[mcix] = row
-                d_writes += 1
-                wb_units += dist_core[dram_tiles[mcix]] + 1
-            else:
-                wb_units += dist_core[wb_bank] + 1
-                wb_obj = llc_banks[wb_bank]
-                wb_llc += 1
-                # Inlined CacheBank.probe(ev, True) + _insert(ev, True).
-                ws = ev & llc_mask
-                wmap = wb_obj._map[ws]
-                wway = wmap.get(ev)
-                if wway is not None:
-                    wst = wb_obj.stats
-                    wst.hits += 1
-                    wst.write_hits += 1
-                    wb_obj._dirty[ws][wway] = True
-                    wrepl = wb_obj._repl[ws]
-                    wrepl._bits = (
-                        wrepl._bits | wrepl._or[wway]
-                    ) & wrepl._and[wway]
-                else:
-                    wb_obj.stats.misses += 1
-                    wways = wb_obj._ways[ws]
-                    wrepl = wb_obj._repl[ws]
-                    if len(wmap) < llc_assoc:
-                        wway = wways.index(None)
-                        wb_obj._occupancy += 1
-                        wways[wway] = ev
-                        wmap[ev] = wway
-                        wb_obj._dirty[ws][wway] = True
-                        wrepl._bits = (
-                            wrepl._bits | wrepl._or[wway]
-                        ) & wrepl._and[wway]
-                    else:
-                        wway = wrepl._victim[wrepl._bits]
-                        ev2 = wways[wway]
-                        ev2_dirty = wb_obj._dirty[ws][wway]
-                        del wmap[ev2]
-                        wst = wb_obj.stats
-                        wst.evictions += 1
-                        if ev2_dirty:
-                            wst.dirty_evictions += 1
-                        wways[wway] = ev
-                        wmap[ev] = wway
-                        wb_obj._dirty[ws][wway] = True
-                        wrepl._bits = (
-                            wrepl._bits | wrepl._or[wway]
-                        ) & wrepl._and[wway]
-                        evict(wb_bank, ev2, ev2_dirty, p, i)
-
-        if hazard:
-            i_end = i + 1
-            n_c = p + 1
-            break
-    else:
-        while wi < n_whit:
-            hb = whit_block[wi]
-            wi += 1
-            if d_sharers.get(hb, 0) & not_bit_core:
-                whc(core, hb)
-            elif d_owner.get(hb) != core:
-                on_l1_fill(core, hb, True)
-
-    if hazard:
-        # Recount the phase-A/resolution stats over the committed prefix
-        # (misses [0, i_end) and the first j writebacks).
-        l1_evs = sum(1 for t in miss[:i_end] if t[3] >= 0)
-        n_rrt_hits, n_bypass, n_local = _prefix_policy_counts(
-            miss, i_end, j, core, td_fast, td_starts, td_ends, td_masks,
-            td_shift, td_bank_mask, sn_mask, bank_list, wb_bank_list,
-        )
-
-    # ---- Commit the batched deltas (exact mirror of the reference
-    # post-loop; on a hazard this covers positions [0, p] and the
-    # reference interpreter finishes — and commits — the suffix). ----
-    n_l1_miss = i_end
-    n_wb = j
-    l1_hits = n_c - n_l1_miss
-    l1_write_hits = wi
-    l1_new = n_l1_miss - l1_evs
-    l1_dirty_evs = n_wb
-    llc_req = llc_hits + llc_misses
-
-    cycles += (compute + lat.l1_hit) * n_c
-    is_td = m.rrts is not None
-    if is_td:
-        cycles += policy.lookup_cycles * n_l1_miss
-    cycles += lat.llc_hit * llc_hits + lat.llc_miss_probe * llc_misses
-    cycles += 2 * lat.per_hop * (
-        llc_req_units - llc_req + dram_units - dram_pairs
-    )
-
-    st = l1.stats
-    st.hits += l1_hits
-    st.read_hits += l1_hits - l1_write_hits
-    st.write_hits += l1_write_hits
-    st.misses += n_l1_miss
-    st.evictions += l1_evs
-    st.dirty_evictions += l1_dirty_evs
-    l1._occupancy += l1_new
-
-    n_res = n_l1_miss + n_wb
-    pst = policy.stats
-    pst.resolutions += n_res
-    pst.local_bank_hits += n_local
-    if td_fast:
-        rst = td_rrt.stats
-        rst.lookups += n_res
-        rst.hits += n_rrt_hits
-        pst.bypasses += n_bypass
-
-    dst.reads += d_reads
-    dst.writes += d_writes
-    dst.row_hits += d_row_hits
-    dst.row_misses += d_row_misses
-
-    energy.l1_accesses += n_c
-    if is_td:
-        energy.rrt_lookups += n_res
-    energy.llc_tag_probes += llc_req + wb_llc
-    energy.llc_data_reads += llc_hits
-    energy.llc_data_writes += llc_misses + wb_llc
-    energy.dram_accesses += dram_pairs + wb_dram
-
-    total_units = llc_req_units + dram_units
-    m._acc_router_bytes += (
-        (CONTROL_BYTES + data_bytes) * total_units + data_bytes * wb_units
-    )
-    m._acc_flit_hops += (
-        (ctrl_flits + data_flits) * total_units + data_flits * wb_units
-    )
-    m._acc_messages += 2 * (llc_req + dram_pairs) + n_wb
-    acc_cb[_REQUEST] += CONTROL_BYTES * llc_req
-    acc_cb[_DATA] += data_bytes * llc_req
-    acc_cb[_WRITEBACK] += data_bytes * n_wb
-    acc_cb[_DRAM_REQUEST] += CONTROL_BYTES * dram_pairs
-    acc_cb[_DRAM_DATA] += data_bytes * dram_pairs
-    m._acc_nuca_sum += llc_req_units - llc_req
-    m._acc_nuca_count += llc_req
-    m._flush_traffic()
-
-    if hazard:
-        cycles += run_blocks_interpreted(
-            m, core, pblocks[n_c:], writes[n_c:], compute_per_access
-        )
-    return cycles, hazard
-
-
-def _prefix_policy_counts(miss, i_end, j_end, core, td_fast, td_starts,
-                          td_ends, td_masks, td_shift, td_bank_mask,
-                          sn_mask, bank_list, wb_bank_list):
-    """Policy/RRT stat counts over the hazard-committed prefix: the first
-    ``i_end`` demand misses plus the first ``j_end`` writebacks.  Redoes
-    the (cheap) resolution rather than storing per-event flags on the
-    hot path — hazards are rare."""
-    if not td_fast:
-        n_local = sum(1 for bk in bank_list[:i_end] if bk == core)
-        n_local += sum(1 for bk in wb_bank_list[:j_end] if bk == core)
-        return 0, 0, n_local
-    n_rrt_hits = n_bypass = n_local = 0
-    blocks = [t[1] for t in miss[:i_end]]
-    blocks += [t[3] for t in miss[:i_end] if t[4]][:j_end]
-    for block in blocks:
-        mask_bits = None
-        if td_starts is not None:
-            paddr = block << td_shift
-            ti = bisect_right(td_starts, paddr) - 1
-            if ti >= 0 and paddr < td_ends[ti]:
-                n_rrt_hits += 1
-                mask_bits = td_masks[ti]
-        if mask_bits is None:
-            if block & td_bank_mask == core:
-                n_local += 1
-        elif mask_bits == 0:
-            n_bypass += 1
-        else:
-            dbanks = decode_bank_mask(mask_bits)
-            nb = len(dbanks)
-            bank = dbanks[0] if nb == 1 else dbanks[block % nb]
-            if bank == core:
-                n_local += 1
-    return n_rrt_hits, n_bypass, n_local

@@ -139,7 +139,7 @@ class Machine:
         self.policy = policy
         # Simulation kernel: the strategy executing each task's trace.
         # ``REPRO_KERNEL`` overrides the configured selector; ``auto``
-        # resolves to the vector backend when numpy is usable.
+        # resolves to the vector backend's fused engine.
         self.kernel = make_kernel(getattr(cfg, "kernel", "auto"))
         self.census = BlockCensus(cfg.num_cores) if census else None
         self.isa = isa
@@ -295,8 +295,8 @@ class Machine:
         """Execute one task's translated trace via the active kernel.
 
         The per-reference interpreter lives in
-        :mod:`repro.sim.kernels.reference`; the batched numpy backend in
-        :mod:`repro.sim.kernels.vector`.  Both must produce byte-identical
+        :mod:`repro.sim.kernels.reference`; the fused specialized engine
+        in :mod:`repro.sim.kernels.vector`.  Both must produce byte-identical
         machine state (the golden snapshots are the gate)."""
         return self.kernel.run_blocks(
             self, core, pblocks, writes, compute_per_access

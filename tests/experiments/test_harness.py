@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import (
-    CRASH_ENV,
     CompletedRun,
     FailedRun,
     Job,
@@ -30,6 +29,7 @@ from repro.experiments.harness import (
     retry_delay,
     run_sweep,
 )
+from repro.failpoints import FAILPOINTS_ENV
 from repro.ioutils import atomic_write
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -191,7 +191,7 @@ class TestIsolated:
         assert "permanent_runner" in rec.traceback
 
     def test_crash_env_hook(self, monkeypatch):
-        monkeypatch.setenv(CRASH_ENV, "a/p")
+        monkeypatch.setenv(FAILPOINTS_ENV, "harness.worker.crash=*@job:a/p")
         outcome = run_sweep(
             [Job("a", "p"), Job("b", "p")], runner=ok_runner,
             workers=2, retries=0,

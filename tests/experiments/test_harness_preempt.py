@@ -19,13 +19,13 @@ import pytest
 
 from repro.config import scaled_config
 from repro.experiments.harness import (
-    SLOW_ENV,
     SNAPSHOT_DIR,
     Job,
     load_manifest,
     run_sweep,
 )
 from repro.experiments.serialize import SCHEMA_VERSION
+from repro.failpoints import FAILPOINTS_ENV
 
 SCALE = 1.0 / 1024.0
 JOBS = [Job("kmeans", "tdnuca"), Job("kmeans", "snuca")]
@@ -122,7 +122,8 @@ class TestSignalHygiene:
         """SIGTERM mid-sweep: every worker is joined (no orphan children),
         the outcome reports interrupted, and a later resume completes all
         jobs correctly."""
-        monkeypatch.setenv(SLOW_ENV, "8")  # hold workers mid-flight
+        # Hold workers mid-flight.
+        monkeypatch.setenv(FAILPOINTS_ENV, "harness.worker.slow=*@param:8")
         run_dir = tmp_path / "run"
         timer = threading.Timer(
             3.0, lambda: signal.raise_signal(signal.SIGTERM)
@@ -143,7 +144,7 @@ class TestSignalHygiene:
         assert time.monotonic() - t0 < 60
         assert load_manifest(run_dir)["sweep_status"] == "interrupted"
 
-        monkeypatch.delenv(SLOW_ENV)
+        monkeypatch.delenv(FAILPOINTS_ENV)
         resumed = run_sweep(
             JOBS, _cfg(), run_dir=run_dir, resume=True, workers=2
         )

@@ -9,9 +9,8 @@ derived float.
 
 Every case runs under *each* simulation kernel against the same
 snapshot: the suite doubles as the cross-kernel equivalence gate (the
-vector backend's contract is byte-identical MachineStats, DESIGN.md
-§13).  When numpy is unavailable the vector leg degrades to the
-reference path by design, so it still must (and does) match.
+vector backend's fused engine must produce byte-identical
+MachineStats, DESIGN.md §13).
 
 Regenerate snapshots only for intentional modelling changes:
 ``PYTHONPATH=src python scripts/update_golden_stats.py``.

@@ -1,36 +1,31 @@
-"""Simulation-kernel dispatch, selection, equivalence and degradation.
+"""Simulation-kernel dispatch, selection and equivalence.
 
 The golden suite (tests/sim/test_golden_stats.py) is the byte-identical
 equivalence gate over the curated case matrix; this module covers the
 kernel *machinery* around it: selection precedence, the per-task
-dispatch gate and its fallback accounting, the phased numpy engine
-(which the golden traces are too short to reach), randomized
-cross-kernel equivalence beyond the golden grid, graceful degradation
-when numpy is masked away, the verify kernel's double-execution, and
-the backend-agnosticism of cache/snapshot fingerprints.
+dispatch gate and its fallback accounting, randomized cross-kernel
+equivalence beyond the golden grid (including a full-scale-length trace
+through the fused engine, which the golden traces are too short to
+reach), the verify kernel's double-execution, and the
+backend-agnosticism of cache/snapshot fingerprints.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import repro.sim.kernels as kernels_mod
-import repro.sim.kernels.vector as vector_mod
 from repro import failpoints
 from repro.api import Session
 from repro.config import scaled_config
 from repro.sim.kernels import (
-    DISABLE_NUMPY_ENV,
     KERNEL_ENV,
     KERNEL_NAMES,
     KernelMismatchError,
     make_kernel,
-    numpy_available,
     resolve_kernel_name,
 )
 from repro.sim.kernels.reference import ReferenceKernel
@@ -44,7 +39,6 @@ from tests.conftest import tiny_config
 @pytest.fixture(autouse=True)
 def _clean_kernel_env(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    monkeypatch.delenv(DISABLE_NUMPY_ENV, raising=False)
 
 
 def small_config(denom=1024, **overrides):
@@ -74,7 +68,6 @@ def drive(machine, blocks, writes=None, core=0):
 
 class TestSelection:
     def test_auto_prefers_vector_with_numpy(self):
-        assert numpy_available()
         assert isinstance(make_kernel("auto"), VectorKernel)
 
     def test_explicit_names(self):
@@ -142,13 +135,6 @@ class TestDispatchGate:
         assert c_ref == c_vec
         assert ref.state_dict() == vec.state_dict()
 
-    def test_phased_engine_runs_above_threshold(self, monkeypatch):
-        monkeypatch.setattr(vector_mod, "NUMPY_MIN_REFS", 0)
-        m = make_machine("tdnuca")
-        drive(m, [100, 101, 102, 100])
-        st = m.kernel.stats
-        assert st.tasks_vector + st.tasks_mixed == 1
-
     def test_dispatch_stats_stay_off_machine_stats(self):
         # Result payloads must be backend-agnostic (the service result
         # cache shares entries across kernels), so dispatch accounting
@@ -182,61 +168,28 @@ class TestCrossKernelEquivalence:
     def test_random_traces_match_per_task(self):
         """Drive both kernels over identical random block traces
         (mixed reads/writes, heavy reuse to force evictions and
-        coherence) and demand identical cycles and machine state."""
-        rng = random.Random(0xC0FFEE)
-        ref = make_machine("tdnuca", kernel="reference")
-        vec = make_machine("tdnuca", kernel="vector")
-        for task in range(8):
-            core = rng.randrange(ref.num_cores)
-            n = rng.randrange(50, 400)
-            blocks = [rng.randrange(0, 512) for _ in range(n)]
-            writes = [rng.random() < 0.3 for _ in range(n)]
-            c_ref = drive(ref, blocks, writes, core=core)
-            c_vec = drive(vec, blocks, writes, core=core)
-            assert c_ref == c_vec, f"cycle divergence at task {task}"
-            assert ref.state_dict() == vec.state_dict(), (
-                f"state divergence at task {task}"
-            )
-
-    def test_phased_engine_matches_reference(self, monkeypatch):
-        """Force every task through the phased numpy path (threshold 0)
-        and hold it to the same equivalence bar."""
-        monkeypatch.setattr(vector_mod, "NUMPY_MIN_REFS", 0)
-        for workload, policy in (("kmeans", "tdnuca"), ("histo", "snuca")):
-            ref = run_stats(workload, policy, "reference", denom=2048)
-            vec = run_stats(workload, policy, "vector", denom=2048)
-            assert ref == vec, f"{workload}/{policy} phased-engine drift"
-
-
-class TestNoNumpyDegradation:
-    def test_numpy_available_respects_mask(self, monkeypatch):
-        assert numpy_available()
-        monkeypatch.setenv(DISABLE_NUMPY_ENV, "1")
-        assert not numpy_available()
-
-    def test_explicit_vector_warns_once_then_falls_back(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_NUMPY_ENV, "1")
-        monkeypatch.setattr(kernels_mod, "_warned_no_numpy", False)
-        with pytest.warns(RuntimeWarning, match="falling back to the reference"):
-            k = make_kernel("vector")
-        assert isinstance(k, ReferenceKernel)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert isinstance(make_kernel("vector"), ReferenceKernel)
-
-    def test_auto_degrades_silently(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_NUMPY_ENV, "1")
-        monkeypatch.setattr(kernels_mod, "_warned_no_numpy", False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert isinstance(make_kernel("auto"), ReferenceKernel)
-
-    def test_degraded_run_matches_reference(self, monkeypatch):
-        ref = run_stats("kmeans", "tdnuca", "reference", denom=2048)
-        monkeypatch.setenv(DISABLE_NUMPY_ENV, "1")
-        monkeypatch.setattr(kernels_mod, "_warned_no_numpy", True)
-        degraded = run_stats("kmeans", "tdnuca", "vector", denom=2048)
-        assert ref == degraded
+        coherence) and demand identical cycles and machine state, under
+        both fused-engine policies.  One task is full-scale length
+        (70,000 refs over the same block space), so the fused engine is
+        held to the reference on traces that back-invalidate its own
+        L1 mid-task, not only on paper-scale ones."""
+        for policy in ("snuca", "tdnuca"):
+            rng = random.Random(0xC0FFEE)
+            ref = make_machine(policy, kernel="reference")
+            vec = make_machine(policy, kernel="vector")
+            for task in range(8):
+                core = rng.randrange(ref.num_cores)
+                n = 70_000 if task == 3 else rng.randrange(50, 400)
+                blocks = [rng.randrange(0, 512) for _ in range(n)]
+                writes = [rng.random() < 0.3 for _ in range(n)]
+                c_ref = drive(ref, blocks, writes, core=core)
+                c_vec = drive(vec, blocks, writes, core=core)
+                where = f"{policy} task {task}"
+                assert c_ref == c_vec, f"cycle divergence at {where}"
+                assert ref.state_dict() == vec.state_dict(), (
+                    f"state divergence at {where}"
+                )
+            assert vec.kernel.stats.tasks_vector == 8
 
 
 class TestVerifyKernel:

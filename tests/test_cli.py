@@ -254,7 +254,9 @@ class TestCommands:
         ]
         assert main(argv + ["--out", str(clean)]) == 0
 
-        monkeypatch.setenv("REPRO_HARNESS_CRASH", "md5/tdnuca")
+        monkeypatch.setenv(
+            "REPRO_FAILPOINTS", "harness.worker.crash=*@job:md5/tdnuca"
+        )
         rc = main(
             argv
             + ["--out", str(faulted), "--jobs", "2", "--retries", "0",
@@ -267,7 +269,7 @@ class TestCommands:
         manifest = json.loads((tmp_path / "rd" / "manifest.json").read_text())
         assert manifest["status"]["md5/tdnuca"]["status"] == "failed"
 
-        monkeypatch.delenv("REPRO_HARNESS_CRASH")
+        monkeypatch.delenv("REPRO_FAILPOINTS")
         assert main(["sweep", "--resume", str(tmp_path / "rd")]) == 0
         a = json.loads(clean.read_text())
         b = json.loads(faulted.read_text())

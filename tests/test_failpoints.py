@@ -1,4 +1,4 @@
-"""The deterministic failpoint framework: parsing, firing, aliases.
+"""The deterministic failpoint framework: parsing, firing, env config.
 
 These are tier-1 tests of the framework itself — cheap, no simulation.
 The chaos suite (``tests/chaos/``, ``pytest -m chaos``) drives the same
@@ -23,8 +23,7 @@ from repro.failpoints import (
 @pytest.fixture(autouse=True)
 def _clean_registry(monkeypatch):
     """Every test starts from an inactive, env-free registry."""
-    for var in (failpoints.FAILPOINTS_ENV, failpoints.FAILPOINTS_SEED_ENV,
-                *failpoints.LEGACY_ALIASES):
+    for var in (failpoints.FAILPOINTS_ENV, failpoints.FAILPOINTS_SEED_ENV):
         monkeypatch.delenv(var, raising=False)
     failpoints.reset()
     yield
@@ -175,41 +174,6 @@ class TestModuleState:
         assert "worker.oom" in fp.spec and "worker.hang" not in fp.spec
         failpoints.reset()
         assert "worker.hang" in failpoints.get().spec
-
-
-class TestLegacyAliases:
-    def test_harness_crash_env_translates_with_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HARNESS_CRASH", "lu/tdnuca")
-        with pytest.warns(DeprecationWarning, match="REPRO_HARNESS_CRASH"):
-            fp = failpoints.get()
-        rules = fp._by_site["harness.worker.crash"]
-        assert rules[0].filters == {"job": "lu/tdnuca"}
-        assert rules[0].action == "exit"  # preserves the old os._exit(99)
-        # Warned once per reset, not on every get().
-        import warnings as _w
-        with _w.catch_warnings(record=True) as seen:
-            _w.simplefilter("always")
-            failpoints.get()
-        assert not seen
-
-    def test_service_slow_env_translates_to_sleep_param(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_SLOW", "0.05")
-        with pytest.warns(DeprecationWarning, match="REPRO_SERVICE_SLOW"):
-            t0 = time.monotonic()
-            assert failpoints.fire("queue.attempt.slow", job="x/y")
-        assert time.monotonic() - t0 >= 0.04
-
-    def test_zero_valued_slow_env_stays_inert(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_SLOW", "0")
-        assert not failpoints.get().active
-
-    def test_alias_combines_with_explicit_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_CRASH", "a/b")
-        monkeypatch.setenv(failpoints.FAILPOINTS_ENV, "worker.hang=1@param:0")
-        with pytest.warns(DeprecationWarning):
-            fp = failpoints.get()
-        assert "queue.attempt.crash" in fp._by_site
-        assert "worker.hang" in fp._by_site
 
 
 class TestDataPathIntegration:
