@@ -11,9 +11,9 @@ Paper claims reproduced here:
 """
 
 
+from repro.api import Session
 from repro.config import scaled_config
 from repro.experiments import figures
-from repro.experiments.runner import run_experiment
 from repro.stats.report import format_table
 
 from .conftest import emit
@@ -31,7 +31,9 @@ def test_rrt_latency_sensitivity(benchmark):
         for cycles in (0, 1, 2, 3, 4):
             total = 0
             for wl in SWEEP_BENCHES:
-                r = run_experiment(wl, "tdnuca", SWEEP_CFG, rrt_lookup_cycles=cycles)
+                r = Session(SWEEP_CFG).run(
+                    wl, "tdnuca", rrt_lookup_cycles=cycles
+                )
                 total += r.makespan
             out[cycles] = total
         return out

@@ -1,28 +1,28 @@
 """Raw simulator throughput: honest timings of single (workload, policy)
 runs, for tracking the simulator's own performance."""
 
+from repro.api import Session
 from repro.config import scaled_config
-from repro.experiments.runner import run_experiment
 
 CFG = scaled_config(1 / 256)
 
 
 def test_simulate_kmeans_snuca(benchmark):
     result = benchmark.pedantic(
-        run_experiment, args=("kmeans", "snuca", CFG), rounds=1, iterations=1
+        Session(CFG).run, args=("kmeans", "snuca"), rounds=1, iterations=1
     )
     assert result.execution.tasks_executed > 0
 
 
 def test_simulate_kmeans_tdnuca(benchmark):
     result = benchmark.pedantic(
-        run_experiment, args=("kmeans", "tdnuca", CFG), rounds=1, iterations=1
+        Session(CFG).run, args=("kmeans", "tdnuca"), rounds=1, iterations=1
     )
     assert result.execution.tasks_executed > 0
 
 
 def test_simulate_md5_rnuca(benchmark):
     result = benchmark.pedantic(
-        run_experiment, args=("md5", "rnuca", CFG), rounds=1, iterations=1
+        Session(CFG).run, args=("md5", "rnuca"), rounds=1, iterations=1
     )
     assert result.execution.tasks_executed == 128

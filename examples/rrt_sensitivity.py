@@ -12,8 +12,8 @@ Run:  python examples/rrt_sensitivity.py
 
 from dataclasses import replace
 
+from repro.api import Session
 from repro.config import scaled_config
-from repro.experiments.runner import run_experiment
 from repro.stats.report import format_table
 
 WORKLOAD = "lu"  # the most RRT-hungry benchmark (replicated panels)
@@ -22,11 +22,11 @@ SCALE = 1 / 256  # quick ablation scale
 
 def main() -> None:
     cfg = scaled_config(SCALE)
-    base = run_experiment(WORKLOAD, "snuca", cfg).makespan
+    base = Session(cfg).run(WORKLOAD, "snuca").makespan
 
     rows = []
     for cycles in (0, 1, 2, 3, 4):
-        r = run_experiment(WORKLOAD, "tdnuca", cfg, rrt_lookup_cycles=cycles)
+        r = Session(cfg).run(WORKLOAD, "tdnuca", rrt_lookup_cycles=cycles)
         rows.append([f"{cycles}", f"{base / r.makespan:.3f}x"])
     print(
         format_table(
@@ -39,9 +39,7 @@ def main() -> None:
     print()
     rows = []
     for entries in (8, 16, 32, 64):
-        r = run_experiment(
-            WORKLOAD, "tdnuca", replace(cfg, rrt_entries=entries)
-        )
+        r = Session(replace(cfg, rrt_entries=entries)).run(WORKLOAD, "tdnuca")
         rows.append(
             [
                 f"{entries}",

@@ -37,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.scenario import MachineSpec, Scenario  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 
 EXIT_DRAINED = 75
@@ -44,6 +45,12 @@ START_TIMEOUT = 30.0
 KILL_AFTER = 2.0  # seconds into the SLOW hold: victim is mid-attempt
 LU_SPEC = {"workload": "lu", "policy": "tdnuca", "scale": 128}
 MD5_SPEC = {"workload": "md5", "policy": "tdnuca", "scale": 2048}
+
+
+def _scenario(workload: str, policy: str, scale: int) -> Scenario:
+    """The run scenario a ``/v1/run`` submission carries."""
+    return Scenario(f"{workload}-{policy}", workload=workload, policy=policy,
+                    machine=MachineSpec(scale=scale))
 
 
 def _env(**overrides: str) -> dict[str, str]:
@@ -145,7 +152,7 @@ def _phase_reclaim(tmp: Path, lu_ref: dict, md5_ref: dict) -> None:
         seen = {h["host_id"] for h in status["hosts"]}
         assert seen == {"host-a", "host-b", "host-c"}, seen
 
-        client_a.submit_run(**LU_SPEC)
+        client_a.submit_scenario(_scenario(**LU_SPEC))
         time.sleep(KILL_AFTER)
         proc_a.kill()  # SIGKILL: no drain, no lease cleanup, no goodbye
         proc_a.wait(timeout=30)
@@ -182,7 +189,7 @@ def _phase_reclaim(tmp: Path, lu_ref: dict, md5_ref: dict) -> None:
         # Resubmitting the dead host's job to the OTHER survivor answers
         # from the shared store: zero recompute, byte-identical result.
         other = next(n for n in survivors if n != adopter)
-        job = survivors[other].submit_run(**LU_SPEC)
+        job = survivors[other].submit_scenario(_scenario(**LU_SPEC))
         done = survivors[other].wait(job["id"], timeout=120)
         assert done["simulated"] == 0, done
         assert done["cache_hits"] == 1, done
@@ -198,11 +205,11 @@ def _phase_reclaim(tmp: Path, lu_ref: dict, md5_ref: dict) -> None:
         )
 
         # Duplicate submit across hosts: B computes, C dedupes.
-        job_b = client_b.submit_run(**MD5_SPEC)
+        job_b = client_b.submit_scenario(_scenario(**MD5_SPEC))
         done_b = client_b.wait(job_b["id"], timeout=120)
         assert done_b["simulated"] == 1, done_b
         assert client_b.result(job_b["id"])["result"] == md5_ref
-        job_c = client_c.submit_run(**MD5_SPEC)
+        job_c = client_c.submit_scenario(_scenario(**MD5_SPEC))
         done_c = client_c.wait(job_c["id"], timeout=120)
         assert done_c["simulated"] == 0, (
             f"duplicate submit must be a shared-store hit: {done_c}"
@@ -257,7 +264,7 @@ def _phase_fence(tmp: Path, lu_ref: dict) -> None:
         fleet, tmp / "cache-e", "host-e", lease_timeout=1.0,
     )
     try:
-        client_d.submit_run(**LU_SPEC)
+        client_d.submit_scenario(_scenario(**LU_SPEC))
         # host-e declares host-d dead after ~2 s of observed heartbeat
         # silence and reclaims; its ghost re-runs the job from scratch
         # (or from host-d's periodic checkpoint — identical either way).
@@ -288,7 +295,7 @@ def _phase_fence(tmp: Path, lu_ref: dict) -> None:
             f"exactly one shared-store entry must exist: {entries}"
         )
         # ... and the surviving entry is the valid, canonical result.
-        job = client_e.submit_run(**LU_SPEC)
+        job = client_e.submit_scenario(_scenario(**LU_SPEC))
         done = client_e.wait(job["id"], timeout=120)
         assert done["simulated"] == 0, done
         assert client_e.result(job["id"])["result"] == lu_ref, (

@@ -40,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.scenario import MachineSpec, Scenario  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.envelope import ServiceError  # noqa: E402
 
@@ -47,6 +48,12 @@ EXIT_DRAINED = 75
 SPEC = {"workload": "md5", "policy": "tdnuca", "scale": 2048}
 START_TIMEOUT = 30.0
 KILL_AFTER = 2.0  # seconds into the SLOW hold: server is mid-attempt
+
+
+def _scenario(workload: str, policy: str, scale: int) -> Scenario:
+    """The run scenario a ``/v1/run`` submission carries."""
+    return Scenario(f"{workload}-{policy}", workload=workload, policy=policy,
+                    machine=MachineSpec(scale=scale))
 
 
 def _env(**overrides: str) -> dict[str, str]:
@@ -129,7 +136,7 @@ def _wait_for_snapshot(spool: Path, timeout: float = 15.0) -> list[Path]:
 
 
 def _submit_and_wait(client: ServiceClient) -> tuple[dict, dict]:
-    job = client.submit_run(**SPEC)
+    job = client.submit_scenario(_scenario(**SPEC))
     done = client.wait(job["id"], timeout=120)
     result = client.result(job["id"])["result"]
     return done, result
@@ -181,7 +188,7 @@ def main() -> int:
         proc, client = _start_server(
             tmp, REPRO_FAILPOINTS="queue.attempt.slow=*@param:1.5"
         )
-        client.submit_run(workload="lu", policy="tdnuca", scale=512)
+        client.submit_scenario(_scenario("lu", "tdnuca", 512))
         time.sleep(KILL_AFTER)
         rc, _ = _stop(proc)
         assert rc == EXIT_DRAINED, f"drain mid-job should exit 75, got {rc}"
@@ -198,8 +205,7 @@ def main() -> int:
         ).stdout)
         proc, client = _start_server(tmp)
         try:
-            rejob = client.submit_run(workload="lu", policy="tdnuca",
-                                      scale=512)
+            rejob = client.submit_scenario(_scenario("lu", "tdnuca", 512))
             redone = client.wait(rejob["id"], timeout=120)
             assert redone["resumed_from_task"], (
                 f"restarted job should resume from the snapshot: {redone}"
@@ -222,7 +228,7 @@ def main() -> int:
         proc, client = _start_server(
             tmp, REPRO_FAILPOINTS="queue.attempt.slow=*@param:0.5"
         )
-        client.submit_run(workload="lu", policy="tdnuca", scale=128)
+        client.submit_scenario(_scenario("lu", "tdnuca", 128))
         time.sleep(KILL_AFTER)
         orphans = _descendants(proc.pid)
         assert orphans, "a mid-job server should have a worker process"
@@ -245,8 +251,7 @@ def main() -> int:
             done, resumed = _submit_and_wait(client)  # md5: still cached
             assert done["cache_hits"] == 1 and resumed == reference
 
-            rejob = client.submit_run(workload="lu", policy="tdnuca",
-                                      scale=128)
+            rejob = client.submit_scenario(_scenario("lu", "tdnuca", 128))
             redone = client.wait(rejob["id"], timeout=120)
             reresult = client.result(rejob["id"])["result"]
             assert redone["resumed_from_task"], (
@@ -278,8 +283,7 @@ def main() -> int:
 
             before = client.health()["queue"]["simulations_run"]
             _, healed = _submit_and_wait(client)
-            fresh_lu = client.submit_run(workload="lu", policy="tdnuca",
-                                         scale=512)
+            fresh_lu = client.submit_scenario(_scenario("lu", "tdnuca", 512))
             client.wait(fresh_lu["id"], timeout=120)
             after = client.health()
             assert after["queue"]["simulations_run"] == before + 1, (
@@ -305,8 +309,7 @@ def main() -> int:
             REPRO_FAILPOINTS="worker.crash=*@attempt:1@task_ge:50@job:lu/tdnuca",
         )
         try:
-            job = client.submit_run(workload="lu", policy="tdnuca",
-                                    scale=512)
+            job = client.submit_scenario(_scenario("lu", "tdnuca", 512))
             done = client.wait(job["id"], timeout=180)
             result = client.result(job["id"])["result"]
             assert done["resumed_from_task"], (
@@ -342,10 +345,12 @@ def main() -> int:
             REPRO_FAILPOINTS="worker.crash=*@job:histo/tdnuca@task_ge:10",
         )
         try:
-            doomed = client.submit_run(workload="histo", policy="tdnuca",
-                                       scale=512)
-            healthy = client.submit_run(workload="jacobi", policy="tdnuca",
-                                        scale=512)
+            doomed = client.submit_scenario(
+                _scenario("histo", "tdnuca", 512)
+            )
+            healthy = client.submit_scenario(
+                _scenario("jacobi", "tdnuca", 512)
+            )
             try:
                 client.wait(doomed["id"], timeout=180)
                 raise AssertionError("3x-crashing job should be poisoned")
@@ -366,8 +371,7 @@ def main() -> int:
                 "healthy job diverged while sharing the pool with poison"
             )
             try:
-                client.submit_run(workload="histo", policy="tdnuca",
-                                  scale=512)
+                client.submit_scenario(_scenario("histo", "tdnuca", 512))
                 raise AssertionError("poisoned spec must not be re-admitted")
             except ServiceError as err:
                 assert err.type == "poisoned", err

@@ -29,9 +29,10 @@ under ``scenarios/`` is loadable by name::
     scenario = load_scenario("multiprog-duo")    # inspect before running
     print(scenario.to_config().num_cores)
 
-Session kwargs, CLI flags, service submissions and scenario files all
-compile through :meth:`Scenario.to_config`, so the same logical run is
-fingerprint-identical whichever way it is expressed.
+CLI flags, service submissions and scenario files all compile through
+:meth:`Scenario.to_config`, so the same logical run is
+fingerprint-identical whichever way it is expressed; a :class:`Session`
+runs exactly the config it holds.
 
 Other entry points:
 
@@ -44,9 +45,6 @@ Other entry points:
   :class:`repro.runtime.Executor` — build your own experiments.
 * ``python -m repro`` — the command-line interface (``run``, ``sweep``,
   ``figures``, ``trace``, ...).
-
-The pre-1.1 functional paths (``run_experiment`` / ``run_suite``) still
-work but emit :class:`DeprecationWarning` pointing at :class:`Session`.
 """
 
 from repro.api import RunResult, Session, run_scenario
@@ -54,7 +52,7 @@ from repro.config import SystemConfig, paper_config, scaled_config
 from repro.deps import DepMode
 from repro.scenario import Scenario, ScenarioError, load_scenario, scenario_names
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Session",

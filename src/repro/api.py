@@ -1,7 +1,6 @@
 """The session facade: one documented entry point for running simulations.
 
-:class:`Session` unifies what used to take three imports
-(``run_experiment`` / ``run_suite`` / ``build_machine`` + ``Executor``)
+:class:`Session` puts machine building, execution, sweeps and tracing
 behind one object with keyword-only options::
 
     from repro import Session
@@ -19,9 +18,6 @@ every statistic attribute) together with the run's
 :class:`~repro.obs.observer.Observer`, adding trace/timeline accessors and
 exporters.  ``Session.sweep`` fronts the crash-tolerant harness the same
 way and can write one Chrome trace per job.
-
-The old call paths (``run_experiment``/``run_suite``) keep working as thin
-deprecation shims over :func:`_run_one` / :meth:`Session.sweep`.
 """
 
 from __future__ import annotations
@@ -247,12 +243,11 @@ class Session:
         task-boundary snapshots; ``resume_from`` continues a snapshotted
         run from its file, byte-identically.
 
-        This method is a thin shim over :class:`~repro.scenario.Scenario`:
-        when the session's config is scenario-expressible the kwargs are
-        lifted into a scenario and compiled through
-        :meth:`Scenario.to_config` (the canonical path shared with the CLI
-        and the service — identical ``config_sha256`` by construction);
-        hand-tuned configs keep the direct path.
+        The run uses the session's config as-is (plus ``faults``/
+        ``strict``).  A config compiled by :meth:`Scenario.to_config` — as
+        the CLI, the service and :meth:`from_scenario` build theirs — is
+        the scenario's machine exactly, so the ``config_sha256`` agrees
+        across those doors; hand-tuned configs run unchanged.
         """
         observer: Observer | None = None
         if trace:
@@ -262,17 +257,10 @@ class Session:
                 else Observer(sample_every=sample_every,
                               capacity=trace_capacity)
             )
-        cfg = self._configured(faults, strict)
-        scenario = Scenario.from_config(
-            cfg, name=f"{workload}-{policy}", workload=workload, policy=policy,
-            seed=self.seed if seed is None else seed,
-        )
-        if scenario is not None:
-            cfg = scenario.to_config()
         experiment = _run_one(
             workload,
             policy,
-            cfg,
+            self._configured(faults, strict),
             seed=self.seed if seed is None else seed,
             rrt_lookup_cycles=rrt_lookup_cycles,
             scheduler=scheduler,
@@ -467,8 +455,8 @@ def _run_one(
 ) -> ExperimentResult:
     """Build the machine, run the benchmark, snapshot the statistics.
 
-    The functional core behind :meth:`Session.run` and the deprecated
-    ``run_experiment`` shim.  ``observer`` (when given) is attached to the
+    The functional core behind :meth:`Session.run` and the sweep
+    harness's runners.  ``observer`` (when given) is attached to the
     machine and stamped with dispatch times by the executor.
 
     ``checkpoint`` (a :class:`~repro.snapshot.Checkpointer`) enables
@@ -613,8 +601,9 @@ def _traced_sweep_runner(
 
     Writes the job's Chrome trace inside the worker and returns the
     flattened dict (with trace/timeline sections) so nothing heavyweight
-    crosses the process boundary.  Accepts the harness's ``checkpoint``/
-    ``resume_from`` kwargs so traced sweeps are preemptible too.
+    crosses the process boundary.  Takes the ``checkpoint``/``resume_from``
+    kwargs every harness runner accepts, so traced sweeps are preemptible
+    too.
     """
     observer = Observer(sample_every=sample_every)
     experiment = _run_one(

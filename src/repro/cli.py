@@ -613,6 +613,23 @@ def _cmd_run_scenario(args) -> int:
     return 0
 
 
+def _resume_command(args, snapshot) -> str:
+    """The ``repro run`` line that resumes ``snapshot``: every flag that
+    enters the snapshot's ``config_sha256``, shell-quoted."""
+    import shlex
+
+    argv = ["repro", "run", args.workload, args.policy,
+            "--scale", str(args.scale), "--seed", str(args.seed)]
+    for flag, geometry in (("--mesh", args.mesh), ("--cluster", args.cluster)):
+        if geometry:
+            argv += [flag, f"{geometry[0]}x{geometry[1]}"]
+    if args.faults:
+        argv += ["--faults", args.faults]
+    if args.strict:
+        argv.append("--strict")
+    return shlex.join(argv + ["--resume-from", str(snapshot)])
+
+
 def cmd_run(args) -> int:
     import signal
 
@@ -670,8 +687,7 @@ def cmd_run(args) -> int:
     except PreemptedError as exc:
         print(
             f"preempted after {exc.tasks_completed} tasks; resume with:\n"
-            f"  repro run {args.workload} {args.policy} --scale {args.scale} "
-            f"--seed {args.seed} --resume-from {exc.path}",
+            f"  {_resume_command(args, exc.path)}",
             file=sys.stderr,
         )
         return EXIT_PREEMPTED
@@ -1058,7 +1074,6 @@ def cmd_submit(args) -> int:
     from repro.service.envelope import ServiceError
     from repro.snapshot import EXIT_PREEMPTED
 
-    scenario = None
     if args.workload not in workload_names(include_extra=True):
         import dataclasses
 
@@ -1105,6 +1120,7 @@ def cmd_submit(args) -> int:
         kernel = getattr(args, "kernel", "auto")
         if kernel != "auto":
             scenario = dataclasses.replace(scenario, kernel=kernel)
+        label = f"scenario {scenario.name}"
     elif args.policy is None:
         print(
             f"error: 'repro submit {args.workload}' needs a policy "
@@ -1112,21 +1128,24 @@ def cmd_submit(args) -> int:
             file=sys.stderr,
         )
         return 2
+    else:
+        # Flags compile to the same Scenario a file would hold, so the
+        # server sees the whole machine (geometry included).
+        scenario = Scenario(
+            name=f"{args.workload}-{args.policy}",
+            workload=args.workload,
+            policy=args.policy,
+            machine=_machine_spec(args),
+            faults=args.faults,
+            strict=args.strict,
+            kernel=getattr(args, "kernel", "auto"),
+            seed=args.seed,
+        )
+        label = f"{args.workload}/{args.policy}"
 
     client = ServiceClient(args.host, args.port)
     try:
-        if scenario is not None:
-            job = client.submit_scenario(scenario)
-        else:
-            job = client.submit_run(
-                workload=args.workload,
-                policy=args.policy,
-                seed=args.seed,
-                scale=args.scale,
-                faults=args.faults,
-                strict=args.strict,
-                kernel=getattr(args, "kernel", "auto"),
-            )
+        job = client.submit_scenario(scenario)
         if args.no_wait:
             print(job["id"])
             return 0
@@ -1153,10 +1172,6 @@ def cmd_submit(args) -> int:
         print(json.dumps(data["result"], indent=2, sort_keys=True))
         return 0
     hit = "cache hit" if final.get("simulated", 0) == 0 else "simulated"
-    label = (
-        f"scenario {scenario.name}" if scenario is not None
-        else f"{args.workload}/{args.policy}"
-    )
     status = (
         f"{label}: {final['state']} ({hit}, {final['attempts']} attempt(s), "
         f"{final['evictions']} eviction(s))"

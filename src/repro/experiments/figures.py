@@ -2,7 +2,7 @@
 suite of :class:`~repro.experiments.runner.ExperimentResult`\\ s.
 
 Each ``figNN_*`` function consumes the results dict produced by
-:func:`repro.experiments.runner.run_suite` (keyed ``(workload, policy)``)
+:meth:`repro.api.Session.suite` (keyed ``(workload, policy)``)
 and returns a :class:`Figure` with one value series per policy plus the
 paper's reference numbers, ready to print side by side.
 """

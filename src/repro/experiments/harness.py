@@ -36,15 +36,13 @@ of a sweep — through a small job engine that provides:
 
 With ``workers=1`` and no timeout the engine degrades to an in-process
 serial loop (no subprocess overhead) that still retries and checkpoints —
-that is the mode :func:`repro.experiments.runner.run_suite` uses by
-default, so library callers pay nothing for the robustness they don't ask
-for.
+that is the mode :meth:`repro.api.Session.suite` uses by default, so
+library callers pay nothing for the robustness they don't ask for.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import multiprocessing
 import os
@@ -64,7 +62,12 @@ from repro.experiments.serialize import (
     SchemaVersionError,
 )
 from repro.ioutils import atomic_write
-from repro.snapshot import Checkpointer, PreemptedError, load_or_quarantine
+from repro.snapshot import (
+    Checkpointer,
+    PreemptedError,
+    config_sha256,
+    load_or_quarantine,
+)
 
 __all__ = [
     "Job",
@@ -250,8 +253,8 @@ class SweepOutcome:
 
 
 class SweepFailure(RuntimeError):
-    """Raised by :func:`repro.experiments.runner.run_suite` when jobs
-    failed after retries (the CLI reports failures instead of raising)."""
+    """Raised by :meth:`repro.api.Session.suite` when jobs failed after
+    retries (the CLI reports failures instead of raising)."""
 
     def __init__(self, failures: Iterable[FailedRun]):
         self.failures = list(failures)
@@ -283,43 +286,28 @@ def retry_delay(
 
 def config_fingerprint(cfg: Any) -> str:
     """Stable hash of a sweep's configuration, stored in the manifest so a
-    resume against a differently-configured run directory fails loudly."""
+    resume against a differently-configured run directory fails loudly.
+
+    For a config dataclass this is :func:`repro.snapshot.config_sha256` —
+    the fingerprint snapshots and the service cache use, which leaves out
+    the kernel, so a sweep resumes under any ``--kernel``.  Opaque configs
+    (test stubs pass strings or paths) hash their ``repr``.
+    """
     if is_dataclass(cfg) and not isinstance(cfg, type):
-        payload: Any = asdict(cfg)
-    else:
-        payload = repr(cfg)
-    text = json.dumps(payload, sort_keys=True, default=repr)
+        return config_sha256(cfg)
+    text = json.dumps(repr(cfg))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _default_runner(
     job: Job, cfg: Any, *, checkpoint=None, resume_from=None
 ) -> Any:
-    # The facade's functional core, not the deprecated run_experiment shim,
-    # so library sweeps stay warning-free.
     from repro.api import _run_one
 
     return _run_one(
         job.workload, job.policy, cfg, seed=job.seed,
         checkpoint=checkpoint, resume_from=resume_from,
     )
-
-
-def _runner_supports_checkpoint(runner: Callable) -> bool:
-    """Whether ``runner`` accepts ``checkpoint=``/``resume_from=`` kwargs.
-
-    Test stubs and third-party runners with the plain ``(job, cfg)``
-    signature keep working: they just run without snapshot support (an
-    interrupting signal then terminates them and the job reruns fresh on
-    resume).
-    """
-    try:
-        params = inspect.signature(runner).parameters
-    except (TypeError, ValueError):  # builtins, odd callables
-        return False
-    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-        return True
-    return "checkpoint" in params and "resume_from" in params
 
 
 def _build_checkpointer(ck_spec: dict[str, Any] | None) -> Checkpointer | None:
@@ -444,10 +432,8 @@ def run_sweep(
     backoff: float = 0.5,
     run_dir: str | Path | None = None,
     resume: bool = False,
-    isolated: bool | None = None,
-    runner: Callable[[Job, Any], Any] | None = None,
+    runner: Callable[..., Any] | None = None,
     on_event: Callable[[str, Job, str], None] | None = None,
-    mp_context: str = "spawn",
     request: dict[str, Any] | None = None,
     checkpoint_every: int = 0,
     deadline: float | None = None,
@@ -455,10 +441,12 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run a sweep plan; never raises for individual job failures.
 
-    ``isolated=None`` auto-selects: subprocess workers whenever ``workers >
-    1`` or a ``timeout`` is set, the in-process serial loop otherwise.
-    ``runner`` defaults to :func:`run_experiment` on ``cfg``; tests inject
-    module-level stubs (they must be picklable for spawn).  ``on_event``
+    Attempts run in spawned subprocess workers whenever ``workers > 1`` or
+    a ``timeout`` is set, in the in-process serial loop otherwise.
+    ``runner`` defaults to :meth:`Session.run`'s core on ``cfg``; tests
+    inject module-level stubs (they must be picklable for spawn).  Every
+    runner takes ``(job, cfg)`` plus the ``checkpoint``/``resume_from``
+    keywords a run directory adds.  ``on_event``
     receives ``(kind, job, detail)`` progress callbacks with kinds
     ``start``/``ok``/``retry``/``failed``/``timeout``/``skipped``/
     ``resumed``/``preempted``/``interrupted``.  ``request`` is recorded verbatim in the
@@ -472,8 +460,8 @@ def run_sweep(
     (seconds of sweep wall time) triggers the same graceful stop without a
     signal, and ``preempt_after_tasks`` is the deterministic test hook.
     Simulation snapshots need a ``run_dir`` (they live under
-    ``run_dir/snapshots/``) and a checkpoint-aware runner; without them a
-    signal still stops the sweep cleanly, but mid-run progress is lost.
+    ``run_dir/snapshots/``); without one a signal still stops the sweep
+    cleanly, but mid-run progress is lost.
     """
     plan = [j if isinstance(j, Job) else Job(*j) for j in jobs]
     if len(set(plan)) != len(plan):
@@ -490,10 +478,7 @@ def run_sweep(
         raise ValueError("checkpoint_every must be >= 0")
     if deadline is not None and deadline <= 0:
         raise ValueError("deadline must be positive")
-    if isolated is None:
-        isolated = workers > 1 or timeout is not None
-    if timeout is not None and not isolated:
-        raise ValueError("per-job timeouts require isolated workers")
+    isolated = workers > 1 or timeout is not None
     if resume and run_dir is None:
         raise ValueError("resume requires the run directory of a prior sweep")
     run = runner if runner is not None else _default_runner
@@ -504,11 +489,9 @@ def run_sweep(
     shard_dir: Path | None = None
     snap_dir: Path | None = None
     rd = Path(run_dir) if run_dir is not None else None
-    checkpointable = rd is not None and _runner_supports_checkpoint(run)
-    if checkpointable:
+    if rd is not None:
         snap_dir = rd / SNAPSHOT_DIR
         snap_dir.mkdir(parents=True, exist_ok=True)
-    if rd is not None:
         shard_dir = rd / SHARD_DIR
         shard_dir.mkdir(parents=True, exist_ok=True)
         if resume:
@@ -538,11 +521,7 @@ def run_sweep(
                     )
                     emit("skipped", job, "already checkpointed")
                     continue
-                snapshot = (
-                    _load_preempted_snapshot(shard_dir / job.shard_name)
-                    if checkpointable
-                    else None
-                )
+                snapshot = _load_preempted_snapshot(shard_dir / job.shard_name)
                 if snapshot is not None:
                     emit("resumed", job, f"continuing from snapshot {snapshot}")
                 pending.append(_Pending(job, resume_from=snapshot))
@@ -606,7 +585,7 @@ def run_sweep(
     deadline_at = time.monotonic() + deadline if deadline is not None else None
 
     def ck_spec_for(item: _Pending) -> dict[str, Any] | None:
-        if not checkpointable:
+        if snap_dir is None:
             return None
         snap_path = snap_dir / (Path(item.job.shard_name).stem + ".snap")
         secs = None
@@ -645,7 +624,7 @@ def run_sweep(
         if isolated:
             _run_isolated(
                 pending, cfg, run, workers, timeout, retries, backoff,
-                mp_context, complete, fail, emit,
+                complete, fail, emit,
                 stop=stop, deadline_at=deadline_at,
                 ck_spec_for=ck_spec_for, preempted=preempted_cb,
             )
@@ -754,7 +733,6 @@ def _run_isolated(
     timeout: float | None,
     retries: int,
     backoff: float,
-    mp_context: str,
     complete: Callable,
     fail: Callable,
     emit: Callable,
@@ -771,7 +749,7 @@ def _run_isolated(
     writing, then SIGKILL for stragglers.  Every child is joined before
     this function returns — an interrupted sweep leaves no orphans.
     """
-    ctx = multiprocessing.get_context(mp_context)
+    ctx = multiprocessing.get_context("spawn")
     queue: deque[_Pending] = deque(pending)
     running: dict[Any, _Running] = {}
     draining = False

@@ -23,6 +23,11 @@ shutdown.  Each bump only *adds* optional fields, so loaders accept every
 version in :data:`SUPPORTED_SCHEMA_VERSIONS` and never-preempted untraced
 archives differ from schema 2 only in the version number.
 
+``sweep.config_sha256`` is :func:`repro.snapshot.config_sha256` of the
+sweep's config — the fingerprint snapshots and the service cache use,
+which leaves out the kernel.  Before 3.0 it was a separate hash that
+included the kernel, so older archives carry a different value.
+
 Only ``sweep.wall_time_s`` varies between otherwise-identical campaigns;
 everything under ``runs`` is deterministic for a given config and seed, so
 archives diff cleanly.  Loading validates the version and raises a clear
@@ -45,11 +50,9 @@ __all__ = [
     "SchemaVersionError",
     "SweepDocument",
     "result_to_dict",
-    "results_to_json",
     "sweep_to_json",
     "figure_to_dict",
     "figure_to_markdown",
-    "load_results_json",
     "load_sweep",
 ]
 
@@ -251,13 +254,6 @@ def sweep_to_json(
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def results_to_json(
-    results: dict[tuple[str, str], ExperimentResult], indent: int = 2
-) -> str:
-    """Serialize a whole suite, keyed ``"workload/policy"``."""
-    return sweep_to_json(results, indent=indent)
-
-
 def load_sweep(text: str, *, path: Any = None) -> SweepDocument:
     """Parse and validate a sweep archive.
 
@@ -305,12 +301,6 @@ def load_sweep(text: str, *, path: Any = None) -> SweepDocument:
         meta=meta,
         schema_version=raw["schema_version"],
     )
-
-
-def load_results_json(text: str) -> dict[tuple[str, str], dict[str, Any]]:
-    """Inverse of :func:`results_to_json` (as plain dicts — the snapshot
-    is for reporting/diffing, not for resuming simulations)."""
-    return load_sweep(text).runs
 
 
 def figure_to_dict(fig: Figure) -> dict[str, Any]:

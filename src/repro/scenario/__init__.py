@@ -23,7 +23,6 @@ from repro.scenario.model import (
     ScenarioError,
     TraceSpec,
     parse_scenario,
-    scenario_from_legacy_body,
 )
 from repro.scenario.loader import (
     library_dir,
@@ -41,7 +40,6 @@ __all__ = [
     "TraceSpec",
     "CheckpointSpec",
     "parse_scenario",
-    "scenario_from_legacy_body",
     "load_scenario",
     "scenario_names",
     "library_dir",

@@ -30,7 +30,6 @@ __all__ = [
     "CheckpointSpec",
     "Scenario",
     "parse_scenario",
-    "scenario_from_legacy_body",
 ]
 
 #: on-disk schema version; bumped only on incompatible changes.
@@ -376,10 +375,6 @@ class Scenario:
         """Recover the scenario whose :meth:`to_config` reproduces ``cfg``
         exactly, or ``None`` when ``cfg`` is not scenario-expressible
         (hand-tuned cache sizes, custom latency tables, ...).
-
-        This is how ``Session.run(**kwargs)`` stays a thin shim: a session
-        holding a derivable config routes through the scenario layer; an
-        arbitrary config keeps the direct path.
         """
         if cfg.capacity_scale <= 0:
             return None
@@ -634,49 +629,5 @@ def _parse_scenario(raw: Any, source: str) -> Scenario:
         else CheckpointSpec(),
         source=source,
     )
-    scenario.validate()
-    return scenario
-
-
-def scenario_from_legacy_body(raw: dict[str, Any], *, source: str = "") -> Scenario:
-    """Translate a legacy flat service body (``workload``/``policy``/
-    ``scale``/``faults``/...) into a :class:`Scenario`.
-
-    The shim behind the service's deprecation path: old JSON submissions
-    keep working, compiled through the same :meth:`Scenario.to_config`,
-    with ``request_key``/``config_sha256`` unchanged.
-    """
-    kind = raw.get("kind", "run")
-    machine = MachineSpec(scale=int(raw.get("scale", 64)))
-    common: dict[str, Any] = dict(
-        machine=machine,
-        faults=str(raw.get("faults", "")),
-        strict=bool(raw.get("strict", False)),
-        kernel=str(raw.get("kernel", "auto")),
-        seed=raw.get("seed", 0),
-        source=source,
-    )
-    if kind == "run":
-        scenario = Scenario(
-            name=f"{raw.get('workload', '?')}-{raw.get('policy', '?')}",
-            workload=raw.get("workload"),
-            policy=raw.get("policy"),
-            **common,
-        )
-    elif kind == "sweep":
-        workloads = raw.get("workloads") or ()
-        policies = raw.get("policies") or ()
-        scenario = Scenario(
-            name="legacy-sweep",
-            workloads=tuple(str(w) for w in workloads),
-            policies=tuple(str(p) for p in policies),
-            **common,
-        )
-    else:
-        raise ScenarioError(
-            f"unknown job kind {kind!r} (expected 'run' or 'sweep')",
-            field="kind",
-            source=source,
-        )
     scenario.validate()
     return scenario

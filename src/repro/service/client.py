@@ -155,20 +155,12 @@ class ServiceClient:
     def health(self) -> dict[str, Any]:
         return self.request("GET", "/v1/health")["data"]
 
-    def submit_run(self, **spec: Any) -> dict[str, Any]:
-        """Submit one run; returns the job record."""
-        return self.request("POST", "/v1/run", spec)["data"]["job"]
-
-    def submit_sweep(self, **spec: Any) -> dict[str, Any]:
-        """Submit a sweep; returns the job record."""
-        return self.request("POST", "/v1/sweep", spec)["data"]["job"]
-
     def submit_scenario(self, scenario) -> dict[str, Any]:
         """Submit a :class:`~repro.scenario.Scenario` (by value or
         curated-library name); returns the job record.
 
-        The canonical submission path: the body is ``{"scenario": ...}``
-        and the endpoint follows the scenario's kind.  Multiprog
+        The one submission path: the body is ``{"scenario": ...}`` and
+        the endpoint follows the scenario's kind.  Multiprog
         scenarios are rejected by the server (run those locally via
         ``repro.run_scenario``).
         """

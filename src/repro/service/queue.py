@@ -342,17 +342,15 @@ def _parse_wire_geometry(raw: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def spec_from_dict(raw: dict[str, Any], *,
-                   warn_legacy: bool = False) -> RunSpec | SweepSpec:
-    """Parse a submission body into a validated spec.
+def spec_from_dict(raw: dict[str, Any]) -> RunSpec | SweepSpec:
+    """Parse a scenario body or a flat spec dict into a validated spec.
 
-    The canonical body is ``{"scenario": {...}}`` (a scenario mapping) or
-    ``{"scenario": "name"}`` (a curated-library name).  The legacy flat
-    form (``workload``/``policy``/``scale``/... at top level) is still
-    accepted and translated through the same :class:`Scenario` path;
-    ``warn_legacy=True`` (the server's external boundary) additionally
-    emits a :class:`DeprecationWarning` — internal round-trips (worker
-    payloads, poison keys) stay silent and byte-stable.
+    A client submits ``{"scenario": {...}}`` (a scenario mapping) or
+    ``{"scenario": "name"}`` (a curated-library name).  The flat form
+    (``workload``/``policy``/``scale``/... at top level) is the internal
+    wire form :meth:`RunSpec.to_dict` writes for worker payloads, fleet
+    claims, queue shards and poison keys; the server refuses it from
+    clients before it gets here.
 
     Raises plain :class:`ValueError` with a message naming the problem;
     the server maps it to a typed ``invalid-request`` envelope.
@@ -378,15 +376,6 @@ def spec_from_dict(raw: dict[str, Any], *,
                 f"submitted to the {kind} endpoint"
             )
         return spec_from_scenario(scenario)
-    if warn_legacy:
-        import warnings
-
-        warnings.warn(
-            "flat service request bodies are deprecated; submit "
-            "{'scenario': {...}} or {'scenario': '<library-name>'} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     common = {
         "seed": raw.get("seed", 0),
         "scale": raw.get("scale", 64),

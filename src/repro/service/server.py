@@ -9,8 +9,8 @@ Routes (all under ``/v1``):
 
 ========================  ======================================================
 ``GET  /v1/health``       queue + cache statistics, breaker state, fleet gauges
-``POST /v1/run``          submit one (workload, policy) job
-``POST /v1/sweep``        submit a workloads x policies grid job
+``POST /v1/run``          submit a run scenario (``{"scenario": ...}``)
+``POST /v1/sweep``        submit a sweep scenario (workloads x policies)
 ``GET  /v1/jobs/<id>``    job record (state, attempts, evictions, cache hits)
 ``GET  /v1/jobs/<id>/result``  the result dict once the job is done
 ``GET  /v1/jobs/<id>/events``  NDJSON progress stream until the job settles
@@ -303,14 +303,21 @@ class ServiceServer:
         )
 
     async def _submit(self, method, path, body, writer) -> None:
+        """Admit a ``{"scenario": {...}}`` or ``{"scenario": "<name>"}``
+        body.  The flat spec dict stays internal (worker payloads, claims,
+        poison keys); an external body without ``scenario`` is refused."""
         if body is None:
             raise ServiceError("invalid-request", "missing JSON request body")
+        if not isinstance(body, dict) or "scenario" not in body:
+            raise ServiceError(
+                "invalid-request",
+                f'{path} takes a scenario body: {{"scenario": {{...}}}} or '
+                '{"scenario": "<library-name>"} (flat bodies were removed '
+                "in 3.0)",
+            )
         kind = "sweep" if path.endswith("/sweep") else "run"
         try:
-            # warn_legacy: flat (pre-scenario) bodies still work but emit a
-            # DeprecationWarning at this external boundary only — internal
-            # spec round-trips stay silent.
-            spec = spec_from_dict({**body, "kind": kind}, warn_legacy=True)
+            spec = spec_from_dict({**body, "kind": kind})
         except ValueError as exc:
             raise ServiceError("invalid-request", str(exc)) from exc
         job = self.queue.submit(spec)  # raises saturated/draining

@@ -72,14 +72,13 @@ class TestCompare:
 
 class TestEndToEnd:
     def test_against_real_sweep(self):
+        from repro.api import Session
         from repro.config import scaled_config
-        from repro.experiments.runner import run_experiment
-        from repro.experiments.serialize import (
-            load_results_json,
-            results_to_json,
-        )
+        from repro.experiments.serialize import load_sweep, sweep_to_json
 
         cfg = scaled_config(1 / 2048)
-        results = {("md5", "snuca"): run_experiment("md5", "snuca", cfg)}
-        snapshot = load_results_json(results_to_json(results))
+        results = {
+            ("md5", "snuca"): Session(cfg).run("md5", "snuca").experiment
+        }
+        snapshot = load_sweep(sweep_to_json(results)).runs
         assert compare_result_sets(snapshot, snapshot) == []

@@ -1,10 +1,12 @@
 """Crash-tolerant sweep harness: failure paths, checkpoint/resume, atomics.
 
 The stub runners are module-level so the spawn start method can pickle
-them by reference (``tests`` is a package).  Where a stub needs state that
-survives the process boundary (attempt counting, "which jobs ran"), the
-harness's opaque ``cfg`` argument carries a scratch-directory path and the
-stubs leave marker files in it.
+them by reference (``tests`` is a package), and take ``**_`` for the
+``checkpoint``/``resume_from`` keywords every runner receives under a run
+directory.  Where a stub needs state that survives the process boundary
+(attempt counting, "which jobs ran"), the harness's opaque ``cfg``
+argument carries a scratch-directory path and the stubs leave marker
+files in it.
 """
 
 from __future__ import annotations
@@ -39,24 +41,24 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 # stub runners (must stay module-level: spawn pickles them by reference)
 
 
-def ok_runner(job, cfg):
+def ok_runner(job, cfg, **_):
     return {"workload": job.workload, "policy": job.policy,
             "makespan_cycles": 100 + len(job.workload)}
 
 
-def tracking_runner(job, cfg):
+def tracking_runner(job, cfg, **_):
     """ok_runner that records which jobs actually executed in cfg (a dir)."""
     Path(cfg, f"ran-{job.workload}-{job.policy}").write_text("")
     return ok_runner(job, cfg)
 
 
-def crash_runner(job, cfg):
+def crash_runner(job, cfg, **_):
     if job.workload == "boom":
         os._exit(13)
     return ok_runner(job, cfg)
 
 
-def transient_runner(job, cfg):
+def transient_runner(job, cfg, **_):
     """Fails with OSError until two attempts have been made (cfg is a dir)."""
     marks = sorted(Path(cfg).glob(f"{job.workload}-*.attempt"))
     Path(cfg, f"{job.workload}-{len(marks)}.attempt").write_text("")
@@ -65,11 +67,11 @@ def transient_runner(job, cfg):
     return ok_runner(job, cfg)
 
 
-def permanent_runner(job, cfg):
+def permanent_runner(job, cfg, **_):
     raise ValueError("deterministic config error")
 
 
-def hang_runner(job, cfg):
+def hang_runner(job, cfg, **_):
     if job.workload == "hang":
         time.sleep(120)
     return ok_runner(job, cfg)
@@ -79,7 +81,7 @@ def hang_runner(job, cfg):
 BIG_RESULT_BYTES = 256 * 1024
 
 
-def big_runner(job, cfg):
+def big_runner(job, cfg, **_):
     return {**ok_runner(job, cfg), "blob": "x" * BIG_RESULT_BYTES}
 
 
@@ -129,10 +131,6 @@ class TestInline:
             run_sweep([Job("a", "p")], runner=ok_runner, workers=0)
         with pytest.raises(ValueError):
             run_sweep([Job("a", "p")], runner=ok_runner, retries=-1)
-        with pytest.raises(ValueError):
-            run_sweep(
-                [Job("a", "p")], runner=ok_runner, timeout=5, isolated=False
-            )
         with pytest.raises(ValueError):
             run_sweep([Job("a", "p")], runner=ok_runner, resume=True)
 
@@ -300,6 +298,18 @@ class TestOutcomeAndRecords:
         assert config_fingerprint(a) == config_fingerprint(b)
         assert config_fingerprint(a) != config_fingerprint(scaled_config(1 / 128))
 
+    def test_config_fingerprint_is_the_snapshot_fingerprint(self):
+        from dataclasses import replace
+
+        from repro.config import scaled_config
+        from repro.snapshot import config_sha256
+
+        cfg = scaled_config(1 / 1024)
+        assert config_fingerprint(cfg) == config_sha256(cfg)
+        assert config_fingerprint(replace(cfg, kernel="reference")) == (
+            config_fingerprint(cfg)
+        )
+
 
 class TestRetryDelay:
     def test_exponential_without_rng(self):
@@ -379,22 +389,21 @@ class TestAtomicWrite:
 
 class TestRunSuiteDelegation:
     def test_failure_raises_sweep_failure(self, monkeypatch):
-        from repro.experiments.runner import run_suite
+        from repro.api import Session
 
-        def explode(workload, policy, cfg=None, **kw):
+        def explode(job, cfg, **_):
             raise RuntimeError("sim blew up")
 
         monkeypatch.setattr(
-            "repro.experiments.harness._default_runner",
-            lambda job, cfg: explode(job.workload, job.policy, cfg),
+            "repro.experiments.harness._default_runner", explode
         )
         with pytest.raises(SweepFailure) as info:
-            run_suite(["md5"], ["snuca"])
+            Session().suite(["md5"], ["snuca"])
         assert info.value.failures[0].error == "RuntimeError"
 
     def test_real_suite_through_harness(self):
+        from repro.api import Session
         from repro.config import scaled_config
-        from repro.experiments.runner import run_suite
 
-        res = run_suite(["md5"], ["snuca"], scaled_config(1 / 2048))
+        res = Session(scaled_config(1 / 2048)).suite(["md5"], ["snuca"])
         assert res[("md5", "snuca")].makespan > 0

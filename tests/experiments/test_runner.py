@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import scaled_config
-from repro.experiments.runner import default_config, run_experiment, run_suite
+from repro.api import Session
+from repro.experiments.runner import default_config
 
 # Small but non-degenerate scale; module-scoped cache keeps this affordable.
 CFG = scaled_config(1 / 1024)
@@ -12,7 +13,7 @@ CFG = scaled_config(1 / 1024)
 @pytest.fixture(scope="module")
 def md5_results():
     return {
-        pol: run_experiment("md5", pol, CFG)
+        pol: Session(CFG).run("md5", pol)
         for pol in ("snuca", "rnuca", "tdnuca", "tdnuca-bypass-only", "tdnuca-noisa")
     }
 
@@ -20,7 +21,7 @@ def md5_results():
 class TestRunExperiment:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            run_experiment("md5", "hnuca", CFG)
+            Session(CFG).run("md5", "hnuca")
 
     def test_result_fields(self, md5_results):
         r = md5_results["snuca"]
@@ -80,7 +81,7 @@ class TestRunExperiment:
 
 class TestRunSuite:
     def test_suite_keys(self):
-        res = run_suite(["knn"], ["snuca", "tdnuca"], CFG)
+        res = Session(CFG).suite(["knn"], ["snuca", "tdnuca"])
         assert set(res) == {("knn", "snuca"), ("knn", "tdnuca")}
 
     def test_default_config_scale(self):
@@ -90,8 +91,8 @@ class TestRunSuite:
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        a = run_experiment("kmeans", "tdnuca", CFG, seed=5)
-        b = run_experiment("kmeans", "tdnuca", CFG, seed=5)
+        a = Session(CFG, seed=5).run("kmeans", "tdnuca")
+        b = Session(CFG, seed=5).run("kmeans", "tdnuca")
         assert a.makespan == b.makespan
         assert a.machine.llc_accesses == b.machine.llc_accesses
         assert a.machine.router_bytes == b.machine.router_bytes
@@ -99,6 +100,6 @@ class TestDeterminism:
 
 class TestRRTLatencySweep:
     def test_latency_increases_makespan(self):
-        fast = run_experiment("knn", "tdnuca", CFG, rrt_lookup_cycles=0)
-        slow = run_experiment("knn", "tdnuca", CFG, rrt_lookup_cycles=4)
+        fast = Session(CFG).run("knn", "tdnuca", rrt_lookup_cycles=0)
+        slow = Session(CFG).run("knn", "tdnuca", rrt_lookup_cycles=4)
         assert slow.makespan > fast.makespan

@@ -4,19 +4,17 @@ import json
 
 import pytest
 
+from repro.api import Session
 from repro.config import scaled_config
 from repro.experiments import figures
-from repro.experiments.runner import run_experiment
 from repro.experiments.serialize import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     SchemaVersionError,
     figure_to_dict,
     figure_to_markdown,
-    load_results_json,
     load_sweep,
     result_to_dict,
-    results_to_json,
     sweep_to_json,
 )
 
@@ -26,7 +24,7 @@ CFG = scaled_config(1 / 1024)
 @pytest.fixture(scope="module")
 def results():
     return {
-        ("md5", pol): run_experiment("md5", pol, CFG)
+        ("md5", pol): Session(CFG).run("md5", pol).experiment
         for pol in ("snuca", "rnuca", "tdnuca")
     }
 
@@ -55,8 +53,8 @@ class TestResultDict:
 
 class TestSuiteJson:
     def test_roundtrip(self, results):
-        text = results_to_json(results)
-        loaded = load_results_json(text)
+        text = sweep_to_json(results)
+        loaded = load_sweep(text).runs
         assert set(loaded) == set(results)
         assert (
             loaded[("md5", "tdnuca")]["makespan_cycles"]
@@ -64,7 +62,7 @@ class TestSuiteJson:
         )
 
     def test_envelope_is_versioned(self, results):
-        doc = json.loads(results_to_json(results))
+        doc = json.loads(sweep_to_json(results))
         assert doc["schema_version"] == SCHEMA_VERSION
         assert set(doc) == {"schema_version", "runs", "failures", "sweep"}
 
@@ -82,29 +80,29 @@ class TestSuiteJson:
 
     def test_malformed_key(self):
         with pytest.raises(ValueError):
-            load_results_json(
+            load_sweep(
                 '{"schema_version": 2, "runs": {"nokey": {}}}'
             )
 
     def test_unversioned_input_rejected(self):
         with pytest.raises(ValueError, match="unversioned"):
-            load_results_json('{"md5/snuca": {"makespan_cycles": 1}}')
+            load_sweep('{"md5/snuca": {"makespan_cycles": 1}}')
 
     def test_wrong_version_rejected(self):
         with pytest.raises(SchemaVersionError) as info:
-            load_results_json('{"schema_version": 99, "runs": {}}')
+            load_sweep('{"schema_version": 99, "runs": {}}')
         assert info.value.found == 99
         assert info.value.expected == SCHEMA_VERSION
 
     def test_corrupt_input_rejected(self):
         with pytest.raises(ValueError, match="corrupt"):
-            load_results_json('{"schema_version": 2, "ru')
+            load_sweep('{"schema_version": 2, "ru')
         with pytest.raises(ValueError, match="corrupt"):
-            load_results_json('[1, 2, 3]')
+            load_sweep('[1, 2, 3]')
         with pytest.raises(ValueError, match="corrupt"):
-            load_results_json('{"schema_version": 2}')
+            load_sweep('{"schema_version": 2}')
         with pytest.raises(ValueError, match="corrupt"):
-            load_results_json(
+            load_sweep(
                 '{"schema_version": 2, "runs": {"md5/snuca": 5}}'
             )
 
@@ -160,7 +158,7 @@ class TestSchemaVersions:
     @pytest.mark.parametrize("old_version", [2, 3])
     def test_older_document_still_loads(self, results, old_version):
         # An older archive is a v4 archive without the optional sections.
-        doc = json.loads(results_to_json(results))
+        doc = json.loads(sweep_to_json(results))
         doc["schema_version"] = old_version
         loaded = load_sweep(json.dumps(doc))
         assert set(loaded.runs) == set(results)

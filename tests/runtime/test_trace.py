@@ -132,20 +132,3 @@ class TestTraceCache:
         tr2 = build_trace_cached(self._task(0x8000), AMAP)
         assert tr1 is tr2
         assert shared_trace_cache.hits == hits_before + 1
-
-    def test_legacy_dict_cache_evicts_lru_not_everything(self):
-        from repro.runtime import trace as trace_mod
-        from repro.runtime.trace import build_trace_cached
-
-        cache = {}
-        old_max = trace_mod._TRACE_CACHE_MAX
-        trace_mod._TRACE_CACHE_MAX = 2
-        try:
-            a = build_trace_cached(self._task(0x0000), AMAP, cache)
-            build_trace_cached(self._task(0x1000), AMAP, cache)
-            assert build_trace_cached(self._task(0x0000), AMAP, cache) is a
-            build_trace_cached(self._task(0x2000), AMAP, cache)
-            assert len(cache) == 2
-            assert build_trace_cached(self._task(0x0000), AMAP, cache) is a
-        finally:
-            trace_mod._TRACE_CACHE_MAX = old_max

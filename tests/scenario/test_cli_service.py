@@ -90,23 +90,36 @@ class TestSubmitDispatch:
         err = capsys.readouterr().err
         assert "--scale" in err and "scenario show stress-8x8" in err
 
+    def test_flags_post_a_scenario_body_with_the_geometry(
+        self, capsys, monkeypatch
+    ):
+        from repro.service.client import ServiceClient
+
+        posted = []
+
+        def record(self, method, path, body=None):
+            posted.append((method, path, body))
+            return {"ok": True, "data": {"job": {"id": "j1"}}}
+
+        monkeypatch.setattr(ServiceClient, "request", record)
+        rc = main(["submit", "md5", "tdnuca", "--mesh", "8x8",
+                   "--cluster", "4x4", "--scale", "1024", "--no-wait"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "j1"
+        [(method, path, body)] = posted
+        assert (method, path) == ("POST", "/v1/run")
+        assert set(body) == {"scenario"}
+        spec = spec_from_dict({**body, "kind": "run"})
+        assert spec.workload == "md5" and spec.policy == "tdnuca"
+        assert spec.scale == 1024
+        assert spec.mesh == (8, 8) and spec.cluster == (4, 4)
+
 
 class TestServiceBoundary:
-    def test_flat_body_warns_only_at_the_boundary(self):
-        body = {"kind": "run", "workload": "kmeans", "policy": "tdnuca",
-                "scale": 1024}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            spec_from_dict(dict(body))  # internal round-trip: silent
-        with pytest.warns(DeprecationWarning, match="scenario"):
-            spec_from_dict(dict(body), warn_legacy=True)
-
     def test_scenario_body_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            spec_from_dict(
-                {"kind": "run", "scenario": "stress-8x8"}, warn_legacy=True
-            )
+            spec_from_dict({"kind": "run", "scenario": "stress-8x8"})
 
     def test_kind_endpoint_mismatch_rejected(self):
         with pytest.raises(ValueError, match="sweep"):

@@ -10,7 +10,6 @@ from repro.scenario import (
     Scenario,
     ScenarioError,
     parse_scenario,
-    scenario_from_legacy_body,
 )
 from repro.sim.machine import POLICIES
 from repro.snapshot.format import config_sha256
@@ -143,25 +142,6 @@ class TestRoundTrip:
     def test_from_config_refuses_inexpressible(self):
         cfg = dataclasses.replace(scaled_config(1 / 64), l1_assoc=4)
         assert Scenario.from_config(cfg, name="x") is None
-
-
-class TestLegacyShim:
-    def test_flat_body_compiles_identically(self):
-        sc = scenario_from_legacy_body(
-            {"kind": "run", "workload": "kmeans", "policy": "tdnuca",
-             "scale": 64, "seed": 0}
-        )
-        assert config_sha256(sc.to_config()) == config_sha256(
-            scaled_config(1 / 64)
-        )
-
-    def test_sweep_body(self):
-        sc = scenario_from_legacy_body(
-            {"kind": "sweep", "workloads": ["kmeans", "jacobi"],
-             "policies": ["snuca", "tdnuca"], "scale": 256}
-        )
-        assert sc.kind == "sweep"
-        assert sc.workloads == ("kmeans", "jacobi")
 
 
 class TestProgrammatic:

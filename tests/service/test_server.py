@@ -15,11 +15,18 @@ import threading
 import pytest
 
 import repro
+from repro.scenario import MachineSpec, Scenario
 from repro.service.client import ServiceClient
 from repro.service.envelope import ServiceError
 from repro.service.server import ServiceServer
 
 SCALE = 2048
+
+
+def cell(workload, policy):
+    """The run scenario of one (workload, policy) cell at the test scale."""
+    return Scenario(f"{workload}-{policy}", workload=workload, policy=policy,
+                    machine=MachineSpec(scale=SCALE))
 
 
 class RunningServer:
@@ -104,10 +111,25 @@ class TestEnvelopes:
     def test_unknown_workload_is_typed_400_naming_it(self, served):
         client = ServiceClient(port=served.port, retries=0)
         with pytest.raises(ServiceError) as exc:
-            client.submit_run(workload="fortnite", policy="tdnuca",
-                              scale=SCALE)
+            client.submit_scenario(cell("fortnite", "tdnuca"))
         assert exc.value.type == "invalid-request"
         assert "fortnite" in exc.value.message
+
+    def test_flat_body_is_typed_400_naming_the_scenario_form(self, served):
+        body = json.dumps(
+            {"workload": "md5", "policy": "tdnuca", "scale": SCALE}
+        ).encode()
+        status, _, raw = served.raw(
+            "POST", "/v1/run", body=body,
+            headers={"Content-Length": str(len(body))},
+        )
+        error = json.loads(raw)["error"]
+        assert status == 400
+        assert error["type"] == "invalid-request"
+        assert error["retryable"] is False
+        assert '{"scenario": {...}}' in error["message"]
+        assert '{"scenario": "<library-name>"}' in error["message"]
+        assert served.server.queue.stats()["submitted"] == 0
 
     def test_unknown_job_id_is_404(self, served):
         client = ServiceClient(port=served.port, retries=0)
@@ -120,7 +142,7 @@ class TestEnvelopes:
 class TestRunLifecycle:
     def test_submit_wait_result_then_cache_hit(self, served):
         client = ServiceClient(port=served.port)
-        job = client.submit_run(workload="md5", policy="tdnuca", scale=SCALE)
+        job = client.submit_scenario(cell("md5", "tdnuca"))
         assert job["state"] in ("queued", "running", "done")
         final = client.wait(job["id"])
         assert final["simulated"] == 1
@@ -128,7 +150,7 @@ class TestRunLifecycle:
         assert data["result"]["workload"] == "md5"
         assert data["result"]["makespan_cycles"] > 0
 
-        dup = client.submit_run(workload="md5", policy="tdnuca", scale=SCALE)
+        dup = client.submit_scenario(cell("md5", "tdnuca"))
         assert dup["state"] == "done"  # settled synchronously from cache
         assert dup["simulated"] == 0 and dup["cache_hits"] == 1
         dup_data = client.result(dup["id"])
@@ -141,7 +163,7 @@ class TestRunLifecycle:
 
     def test_result_before_done_is_404(self, served):
         client = ServiceClient(port=served.port, retries=0)
-        job = client.submit_run(workload="knn", policy="snuca", scale=SCALE)
+        job = client.submit_scenario(cell("knn", "snuca"))
         try:
             client.result(job["id"])
         except ServiceError as exc:
@@ -154,9 +176,10 @@ class TestRunLifecycle:
 
     def test_sweep_endpoint(self, served):
         client = ServiceClient(port=served.port)
-        job = client.submit_sweep(
-            workloads=["md5"], policies=["snuca", "tdnuca"], scale=SCALE
-        )
+        job = client.submit_scenario(Scenario(
+            "md5-grid", workloads=("md5",), policies=("snuca", "tdnuca"),
+            machine=MachineSpec(scale=SCALE),
+        ))
         final = client.wait(job["id"])
         assert final["cells_total"] == 2
         data = client.result(job["id"])
@@ -164,7 +187,7 @@ class TestRunLifecycle:
 
     def test_events_stream_hello_then_lifecycle(self, served):
         client = ServiceClient(port=served.port)
-        job = client.submit_run(workload="md5", policy="tdnuca", scale=SCALE)
+        job = client.submit_scenario(cell("md5", "tdnuca"))
         events = list(client.iter_events(job["id"]))
         hello, rest = events[0], events[1:]
         assert hello["ok"] is True
@@ -191,8 +214,7 @@ class TestDrain:
             # once the socket is fully closed the client reports a typed
             # connection failure instead.  Both are typed, never a trace.
             with pytest.raises(ServiceError) as exc:
-                client.submit_run(workload="md5", policy="tdnuca",
-                                  scale=SCALE)
+                client.submit_scenario(cell("md5", "tdnuca"))
             assert exc.value.type in ("draining", "internal")
         finally:
             rs.stop()
@@ -227,8 +249,7 @@ class TestClientRetry:
         queue.breaker = SheddingTwice()
         try:
             client = ServiceClient(port=served.port, retries=5, backoff=0.05)
-            job = client.submit_run(workload="md5", policy="tdnuca",
-                                    scale=SCALE)
+            job = client.submit_scenario(cell("md5", "tdnuca"))
             assert calls["n"] == 3
             assert client.wait(job["id"])["state"] == "done"
         finally:

@@ -9,7 +9,12 @@ from repro.cache.replacement import TreePLRUState, _victim_for_bits
 from repro.mem.region import Region
 from repro.noc.traffic import NUM_MESSAGE_CLASSES, MessageClass, TrafficStats
 from repro.runtime.task import AccessChunk, Dependency, Task
-from repro.runtime.trace import build_trace, build_trace_cached, trace_signature
+from repro.runtime.trace import (
+    TraceCache,
+    build_trace,
+    build_trace_cached,
+    trace_signature,
+)
 from repro.deps import DepMode
 from tests.sim.test_machine import make, run_blocks
 
@@ -182,7 +187,7 @@ class TestTraceMemoization:
 
     def test_same_signature_shares_trace(self):
         m = make("snuca")
-        cache = {}
+        cache = TraceCache()
         t1, t2 = self._task(), self._task()
         assert trace_signature(t1) == trace_signature(t2)
         tr1 = build_trace_cached(t1, m.amap, cache)
@@ -194,7 +199,7 @@ class TestTraceMemoization:
 
     def test_distinct_signatures_get_distinct_traces(self):
         m = make("snuca")
-        cache = {}
+        cache = TraceCache()
         tr1 = build_trace_cached(self._task(0), m.amap, cache)
         tr2 = build_trace_cached(self._task(4096), m.amap, cache)
         assert tr1 is not tr2

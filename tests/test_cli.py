@@ -119,6 +119,28 @@ class TestCommands:
         assert resumed.pop("resumed_from_task") >= 1
         assert resumed == reference
 
+    def test_preempted_8x8_run_resumes_from_the_printed_command(
+        self, tmp_path, capsys
+    ):
+        import shlex
+
+        from repro.snapshot import EXIT_PREEMPTED
+
+        flags = ["--scale", "2048", "--mesh", "8x8", "--cluster", "4x4",
+                 "--faults", "bank:5@task=10", "--strict"]
+        snap = tmp_path / "run.snap"
+        rc = main(["run", "md5", "tdnuca", *flags, "--deadline", "0.0001",
+                   "--checkpoint-to", str(snap)])
+        assert rc == EXIT_PREEMPTED
+        argv = shlex.split(capsys.readouterr().err.splitlines()[-1])
+        assert argv[:2] == ["repro", "run"]
+        assert main([*argv[1:], "--json"]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert main(["run", "md5", "tdnuca", *flags, "--json"]) == 0
+        reference = json.loads(capsys.readouterr().out)
+        assert resumed.pop("resumed_from_task") >= 1
+        assert resumed == reference
+
     def test_run_resume_rejects_wrong_identity(self, tmp_path, capsys):
         from repro.snapshot import EXIT_PREEMPTED
 
@@ -276,6 +298,18 @@ class TestCommands:
         a["sweep"].pop("wall_time_s")
         b["sweep"].pop("wall_time_s")
         assert a == b
+
+    def test_sweep_resumes_under_another_kernel(self, tmp_path, capsys):
+        # The kernel is an execution strategy, not part of the sweep's
+        # identity: a finished run dir resumes under any --kernel.
+        out = tmp_path / "ref.json"
+        argv = ["sweep", "--scale", "2048", "--workloads", "md5",
+                "--policies", "snuca", "tdnuca", "--out", str(out)]
+        assert main(argv + ["--kernel", "reference"]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--resume", str(tmp_path / "ref.json.d")]) == 0
+        err = capsys.readouterr().err
+        assert err.count(" skipped ") == 2
 
     def test_compare_reports_schema_mismatch(self, tmp_path, capsys):
         versioned = tmp_path / "new.json"

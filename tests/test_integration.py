@@ -7,8 +7,8 @@ paper's qualitative orderings.
 
 import pytest
 
+from repro.api import Session
 from repro.config import scaled_config
-from repro.experiments.runner import run_experiment
 
 CFG = scaled_config(1 / 1024)
 POLICIES = ("snuca", "rnuca", "tdnuca")
@@ -19,7 +19,7 @@ def results():
     out = {}
     for wl in ("kmeans", "lu"):
         for pol in POLICIES:
-            out[(wl, pol)] = run_experiment(wl, pol, CFG)
+            out[(wl, pol)] = Session(CFG).run(wl, pol)
     return out
 
 
@@ -95,14 +95,14 @@ class TestSeedStability:
     def test_conclusion_stable_across_seeds(self):
         """TD-NUCA's win must not hinge on one scheduling realization."""
         for seed in (0, 1, 2):
-            s = run_experiment("kmeans", "snuca", CFG, seed=seed)
-            t = run_experiment("kmeans", "tdnuca", CFG, seed=seed)
+            s = Session(CFG, seed=seed).run("kmeans", "snuca")
+            t = Session(CFG, seed=seed).run("kmeans", "tdnuca")
             assert t.makespan < s.makespan * 1.01, seed
             assert t.machine.llc_accesses < s.machine.llc_accesses, seed
 
     def test_seeds_actually_differ(self):
-        a = run_experiment("kmeans", "tdnuca", CFG, seed=0)
-        b = run_experiment("kmeans", "tdnuca", CFG, seed=1)
+        a = Session(CFG, seed=0).run("kmeans", "tdnuca")
+        b = Session(CFG, seed=1).run("kmeans", "tdnuca")
         assert a.makespan != b.makespan  # fragmentation/jitter differ
 
 

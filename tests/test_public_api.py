@@ -65,7 +65,7 @@ PUBLIC_API = {
         "timeline_link_heatmap",
     ],
     "repro.workloads": ["Workload", "get_workload", "BENCHMARKS"],
-    "repro.experiments": ["run_experiment", "run_suite", "figures", "paper"],
+    "repro.experiments": ["ExperimentResult", "figures", "harness", "paper"],
 }
 
 
