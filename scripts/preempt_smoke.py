@@ -30,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED_RUNS = {"md5/snuca", "md5/tdnuca", "knn/snuca", "knn/tdnuca"}
 EXIT_PREEMPTED = 75
-SIGTERM_AFTER = 3.0  # seconds: past worker spawn, inside the SLOW hold
+SIGTERM_AFTER = 3.0  # seconds: past worker start, inside the SLOW hold
 DRAIN_TIMEOUT = 60.0
 
 

@@ -6,9 +6,13 @@ worker crash (the ``harness.worker.crash`` failpoint), verifies the sweep
 degrades gracefully (remaining jobs complete, failure archived in the
 manifest and the merged JSON), then resumes it and asserts the merged
 output is complete, failure-free, and that already-finished shards were
-not re-run.  A last isolated sweep runs one cell whose pickled result is
+not re-run.  An isolated sweep then runs one cell whose pickled result is
 larger than a pipe's 64 KiB buffer under ``--timeout``, so a parent that
 stops draining its workers' result pipes fails fast instead of hanging.
+Last, a two-cell sweep is ``kill -9``'d mid-job: every process it started
+(the fork template, its workers, the resource tracker) must exit within
+:data:`REAP_WITHIN` seconds, and ``--resume`` must finish the campaign
+with the runs of an uninterrupted sweep.
 
 Usage: ``PYTHONPATH=src python scripts/sweep_smoke.py``
 """
@@ -20,20 +24,75 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+
+from service_smoke import _descendants, _running_parents
 
 ROOT = Path(__file__).resolve().parents[1]
 CRASH_JOB = "md5/tdnuca"
 EXPECTED_RUNS = {"md5/snuca", "md5/tdnuca", "knn/snuca", "knn/tdnuca"}
 #: ~100 KB pickled at 1/1024, mostly its dependency categories.
 BIG_RESULT_JOB = "histo/tdnuca"
+#: the kill -9 leg's sweep; gauss/tdnuca runs ~6-7 s isolated at 1/1024.
+KILL_CELLS = ["--scale", "1024", "--workloads", "gauss",
+              "--policies", "snuca", "tdnuca", "--jobs", "2"]
+#: seconds between the workers' start and the SIGKILL: mid-job.
+KILL_AFTER = 1.0
+#: a task boundary at 1/1024 is milliseconds away, so an orphaned worker
+#: has long checkpointed and exited by then.
+REAP_WITHIN = 3.0
+
+
+def _argv(args: list[str]) -> list[str]:
+    return [sys.executable, "-m", "repro", *args]
+
+
+def _env(**overrides: str) -> dict[str, str]:
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def repro(args: list[str], **env_overrides: str) -> int:
-    env = {**os.environ, **env_overrides}
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.call(
-        [sys.executable, "-m", "repro", *args], env=env, cwd=ROOT
+    return subprocess.call(_argv(args), env=_env(**env_overrides), cwd=ROOT)
+
+
+def kill9_leg(tmp: Path) -> None:
+    """SIGKILL a sweep mid-job: nothing it started may outlive it, and
+    ``--resume`` finishes the campaign byte-identically."""
+    out = tmp / "kill9.json"
+    sweep = subprocess.Popen(
+        _argv(["sweep", *KILL_CELLS, "--out", str(out)]), env=_env(), cwd=ROOT
+    )
+    # Workers are running once the resource tracker, the template and a
+    # worker are up.
+    deadline = time.monotonic() + 30.0
+    while len(_descendants(sweep.pid)) < 3:
+        assert sweep.poll() is None, "the sweep exited before it was killed"
+        assert time.monotonic() < deadline, "the sweep never started workers"
+        time.sleep(0.05)
+    time.sleep(KILL_AFTER)
+    tree = _descendants(sweep.pid)
+    sweep.kill()
+    sweep.wait(timeout=30)
+    deadline = time.monotonic() + REAP_WITHIN
+    while tree & _running_parents().keys():
+        assert time.monotonic() < deadline, (
+            f"processes {sorted(tree & _running_parents().keys())} outlived "
+            f"the kill -9'd sweep by {REAP_WITHIN}s"
+        )
+        time.sleep(0.05)
+
+    rc = repro(["sweep", "--resume", str(out) + ".d"])
+    assert rc == 0, f"resume after kill -9 should exit 0, got {rc}"
+    reference = tmp / "kill9-reference.json"
+    rc = repro(["sweep", *KILL_CELLS, "--out", str(reference)])
+    assert rc == 0, f"uninterrupted sweep should exit 0, got {rc}"
+    merged = json.loads(out.read_text())["runs"]
+    assert set(merged) == {"gauss/snuca", "gauss/tdnuca"}, merged.keys()
+    assert merged == json.loads(reference.read_text())["runs"], (
+        "resumed-after-kill-9 runs diverge from an uninterrupted sweep"
     )
 
 
@@ -92,8 +151,10 @@ def main() -> int:
         assert set(result["runs"]) == {BIG_RESULT_JOB}, result["runs"].keys()
         assert result["failures"] == []
 
+        kill9_leg(Path(tmp))
+
     print("sweep smoke ok: crash archived, resume completed the campaign, "
-          "large result received")
+          "large result received, kill -9 left no process behind")
     return 0
 
 

@@ -597,7 +597,8 @@ def _traced_sweep_runner(
     job, cfg, *, trace_dir: str, sample_every: int,
     checkpoint=None, resume_from=None,
 ):
-    """Harness runner for traced sweeps (module-level: spawn-picklable).
+    """Harness runner for traced sweeps (module-level, so that it pickles
+    by reference to each forked sweep worker).
 
     Writes the job's Chrome trace inside the worker and returns the
     flattened dict (with trace/timeline sections) so nothing heavyweight

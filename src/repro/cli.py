@@ -195,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock limit (implies process isolation)",
+        help="per-job wall-clock limit (implies process isolation): a job "
+        "past it is recorded as timed out and retried under --retries, "
+        "resuming from the snapshot it leaves",
     )
     p_sweep.add_argument(
         "--retries", type=int, default=1, metavar="N",

@@ -5,12 +5,15 @@ serial double loop loses the whole campaign to one hung or crashed run.
 This module runs each :class:`Job` — one ``(workload, policy, seed)`` cell
 of a sweep — through a small job engine that provides:
 
-* **Process isolation** — each attempt runs in its own ``multiprocessing``
-  worker (spawn-safe: the worker entry point and all job arguments are
-  module-level picklables), so a segfault, ``os._exit``, or unbounded hang
-  in one run cannot take down the sweep.
+* **Process isolation** — each attempt runs in its own worker process,
+  forked from the pre-imported template of :mod:`repro.template` (the
+  worker entry point and all job arguments are picklables sent to it), so
+  a segfault, ``os._exit``, or unbounded hang in one run cannot take down
+  the sweep, and a ``kill -9`` of the sweep stops its workers at their
+  next task boundary.
 * **Per-job wall-clock timeouts** — a worker past its deadline is
-  terminated (then killed) and the attempt is recorded as timed out.
+  terminated (then killed) and the attempt is recorded as timed out; the
+  retry resumes from the snapshot a worker with a run directory leaves.
 * **Bounded retries with exponential backoff** — transient failures
   (worker crashes, timeouts, I/O errors) are retried up to ``retries``
   times with ``backoff * 2**(attempt-1)`` seconds between attempts;
@@ -56,6 +59,7 @@ from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
+from repro import failpoints, template
 from repro.experiments.serialize import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
@@ -338,10 +342,14 @@ def _checkpoint_kwargs(ck: Checkpointer | None, ck_spec: dict[str, Any] | None):
     return kwargs
 
 
-def _worker_main(conn_w, runner, job: Job, cfg: Any, ck_spec=None) -> None:
-    """Worker entry point (module-level so ``spawn`` can pickle it)."""
-    from repro import failpoints
-
+def _worker_main(
+    conn_w, runner, job: Job, cfg: Any, ck_spec: dict[str, Any] | None,
+    parent_pid: int, failpoint_spec: tuple[str, int] | None,
+) -> None:
+    """Worker entry point, forked from the template: the same prologue as
+    a service attempt (:func:`repro.template.attempt_prologue`), then one
+    attempt of ``job`` and its one message to the parent."""
+    template.attempt_prologue(parent_pid, failpoint_spec)
     # Chaos site: default action exits hard with status 99, emulating a
     # native crash.
     failpoints.fire("harness.worker.crash", job=job.label)
@@ -441,10 +449,15 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run a sweep plan; never raises for individual job failures.
 
-    Attempts run in spawned subprocess workers whenever ``workers > 1`` or
-    a ``timeout`` is set, in the in-process serial loop otherwise.
-    ``runner`` defaults to :meth:`Session.run`'s core on ``cfg``; tests
-    inject module-level stubs (they must be picklable for spawn).  Every
+    Attempts run in worker processes forked from the template of
+    :mod:`repro.template` whenever ``workers > 1`` or a ``timeout`` is set,
+    in the in-process serial loop otherwise; the template is stopped
+    before this returns unless another user in the process still has a
+    live attempt.  ``runner`` defaults to :meth:`Session.run`'s core on
+    ``cfg``; tests inject module-level stubs (``runner`` and ``cfg`` are
+    pickled to each worker).  A job past its ``timeout`` is recorded as
+    timed out and retried under ``retries``, resuming from the snapshot it
+    left under a run directory.  Every
     runner takes ``(job, cfg)`` plus the ``checkpoint``/``resume_from``
     keywords a run directory adds.  ``on_event``
     receives ``(kind, job, detail)`` progress callbacks with kinds
@@ -741,15 +754,19 @@ def _run_isolated(
     ck_spec_for: Callable[[_Pending], dict | None] | None = None,
     preempted: Callable | None = None,
 ) -> None:
-    """Parallel execution, one subprocess per attempt, deadline-enforced.
+    """Parallel execution, one forked worker per attempt, deadline-enforced.
 
+    A worker past its deadline is SIGTERMed, then killed, and the attempt
+    is a ``Timeout`` whatever it replied; a worker with a run directory
+    checkpoints on SIGTERM, and the retry resumes from that snapshot.
     When ``stop`` is set (signal) or ``deadline_at`` passes, the loop
-    drains: no new launches, SIGTERM to every worker so each checkpoints
-    at its next task boundary, a :data:`PREEMPT_GRACE` window to finish
-    writing, then SIGKILL for stragglers.  Every child is joined before
-    this function returns — an interrupted sweep leaves no orphans.
+    drains instead: no new launches, SIGTERM to every worker so each
+    checkpoints at its next task boundary and is recorded preempted, a
+    :data:`PREEMPT_GRACE` window to finish writing, then SIGKILL for
+    stragglers.  Every child is joined, and the template stopped if idle,
+    before this function returns — an interrupted sweep leaves no orphans.
     """
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("forkserver")
     queue: deque[_Pending] = deque(pending)
     running: dict[Any, _Running] = {}
     draining = False
@@ -758,13 +775,15 @@ def _run_isolated(
     def handle_failure(
         item: _Pending, error: str, message: str, tb: str,
         permanent: bool, timed_out: bool, spent: float,
+        snapshot: str | None = None,
     ) -> None:
         retryable = not permanent and item.attempt <= retries and not draining
         if retryable:
             delay = retry_delay(item.attempt, backoff)
             queue.append(
                 _Pending(item.job, item.attempt + 1,
-                         time.monotonic() + delay, spent, item.resume_from)
+                         time.monotonic() + delay, spent,
+                         snapshot or item.resume_from)
             )
             emit("retry", item.job, f"attempt {item.attempt}: {error}")
         else:
@@ -809,10 +828,11 @@ def _run_isolated(
                     ck_spec = ck_spec_for(item) if ck_spec_for is not None else None
                     proc = ctx.Process(
                         target=_worker_main,
-                        args=(send, runner, item.job, cfg, ck_spec),
+                        args=(send, runner, item.job, cfg, ck_spec,
+                              os.getpid(), failpoints.active_spec()),
                         daemon=True,
                     )
-                    proc.start()
+                    template.fork_attempt(proc)
                     send.close()  # keep only the child's end open for EOF
                     started = time.monotonic()
                     running[proc.sentinel] = _Running(
@@ -860,22 +880,30 @@ def _run_isolated(
                     if r.proc.is_alive():
                         r.proc.kill()
                         r.proc.join(10.0)
+                template.forget_attempt(r.proc)
                 _receive(r)
                 msg = r.msg
                 exitcode = r.proc.exitcode
                 spent = r.item.spent + (time.monotonic() - r.started)
                 if msg is not None and msg[0] == "ok":
                     complete(r.item.job, msg[1], r.item.attempt, spent)
-                elif msg is not None and msg[0] == "preempted":
-                    if preempted is not None:
-                        preempted(r.item.job, msg[1], msg[2],
-                                  r.item.attempt, spent)
-                elif alive and not draining:  # killed: deadline exceeded
+                elif alive and not draining:
+                    # Past its deadline: a Timeout, whatever the SIGTERM
+                    # made it reply.  A worker with a run directory
+                    # answers it with a snapshot the retry resumes from.
                     handle_failure(
                         r.item, "Timeout",
                         f"worker exceeded the {timeout}s deadline", "",
                         permanent=False, timed_out=True, spent=spent,
+                        snapshot=(
+                            msg[1] if msg is not None and msg[0] == "preempted"
+                            else None
+                        ),
                     )
+                elif msg is not None and msg[0] == "preempted":
+                    if preempted is not None:
+                        preempted(r.item.job, msg[1], msg[2],
+                                  r.item.attempt, spent)
                 elif msg is not None:
                     _, error, message, tb, permanent = msg
                     handle_failure(
@@ -897,13 +925,15 @@ def _run_isolated(
                     )
     finally:
         # Belt and braces: whatever path exits this loop, no child of the
-        # sweep survives it.
+        # sweep survives it, and neither does an idle template.
         for r in running.values():
             if r.proc.is_alive():
                 r.proc.kill()
             r.recv.close()
         for r in running.values():
             r.proc.join(10.0)
+            template.forget_attempt(r.proc)
+        template.stop_idle_template()
 
 
 # --------------------------------------------------------------------------

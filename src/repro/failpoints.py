@@ -443,8 +443,9 @@ def mangle(site: str, data: bytes, **ctx: Any) -> bytes:
 
 def active_spec() -> tuple[str, int] | None:
     """The (spec, seed) pair of the active instance, or ``None`` when
-    inactive — what the worker pool forwards to spawned children so an
-    explicitly :func:`configure`-d parent propagates deterministically."""
+    inactive — what the sweep harness and the worker pool forward to each
+    forked attempt, so that the launcher's spec, explicit or from the
+    environment, holds in the child deterministically."""
     fp = get()
     if not fp.active:
         return None

@@ -6,13 +6,12 @@ took the whole service down with it.  This module moves each job attempt
 into a **process-isolated child** supervised from the (still
 thread-based) attempt slot:
 
-* **Process-per-attempt** — a fresh child per attempt, forked from a
-  pre-imported **template** (the stdlib ``forkserver``): the template is
-  a single-threaded process that has only imported the simulator and
-  never runs a job, so a child inherits no locks, no server heap and no
-  earlier job's state, yet skips the interpreter start and ``repro``
-  import a ``spawn`` would pay on every attempt.  A crash costs exactly
-  one attempt.
+* **Process-per-attempt** — a fresh child per attempt, forked from the
+  pre-imported template of :mod:`repro.template`, which the sweep harness
+  shares: the child inherits no locks, no server heap and no earlier
+  job's state, yet skips the interpreter start and ``repro`` import a
+  cold start would pay on every attempt.  A crash costs exactly one
+  attempt.
   The child streams progress over a one-way pipe (``ready`` /
   ``cell_done`` / ``event`` / terminal ``ok``/``preempted``/``error``)
   and writes results/snapshots to the shared cache/spool directories —
@@ -38,11 +37,12 @@ thread-based) attempt slot:
   SIGTERM handler.  The supervisor never forwards a preempt signal until
   the child reports ``ready``, so a drain can't kill a child mid-startup
   and lose the checkpoint the drain exists to write.
-* **Orphan reaping** — the child arms ``PR_SET_PDEATHSIG`` (SIGTERM on
-  parent death) against the template, which exits as soon as the server
-  does, so ``kill -9`` of the server stops its children at the next task
-  boundary instead of leaving orphans racing the restarted server for
-  the spool.  A drain that leaves no attempt alive stops the template.
+* **Orphan reaping** — the child's prologue
+  (:func:`repro.template.attempt_prologue`) arms ``PR_SET_PDEATHSIG``
+  against the template, which exits as soon as the server does, so
+  ``kill -9`` of the server stops its children at the next task boundary
+  instead of leaving orphans racing the restarted server for the spool.
+  A drain that leaves no attempt alive stops the template.
 
 The queue layers poison quarantine and graceful concurrency degradation
 on top (see :mod:`repro.service.queue`); failure *injection* for all of
@@ -58,11 +58,10 @@ import os
 import signal
 import threading
 import time
-from multiprocessing import forkserver
 from pathlib import Path
 from typing import Any, Callable
 
-from repro import failpoints
+from repro import failpoints, template
 from repro.snapshot import Checkpointer, PreemptedError
 
 __all__ = [
@@ -84,54 +83,6 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 #: wall stamp exists only so humans can line logs up against it.
 _HB_MONO = 0
 _HB_WALL = 1
-
-#: what the fork template imports once, so every attempt forked from it
-#: starts with the simulator loaded.
-_TEMPLATE_PRELOAD = [
-    __name__,
-    "repro.api",
-    "repro.service.cache",
-    "repro.service.queue",
-    "repro.obs",
-    "repro.sim.kernels.vector",
-    "numpy.random",
-]
-
-#: The template is the stdlib forkserver: one per server process, shared
-#: by every pool in it.  Launches and the drain-time stop take this lock,
-#: and a drain stops the template only while none of its attempts is
-#: alive (stopping it under a live attempt would SIGTERM that attempt
-#: through its PDEATHSIG).  The next launch starts a fresh template.
-_template_lock = threading.Lock()
-_forked: set[multiprocessing.process.BaseProcess] = set()
-
-
-def _fork_attempt(proc: multiprocessing.process.BaseProcess) -> None:
-    with _template_lock:
-        forkserver.set_forkserver_preload(_TEMPLATE_PRELOAD)
-        proc.start()
-        _forked.add(proc)
-
-
-def _forget_attempt(proc: multiprocessing.process.BaseProcess) -> None:
-    with _template_lock:
-        _forked.discard(proc)
-
-
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # exists, but is not ours to signal
-        pass
-    return True
-
-
-def _stop_idle_template() -> None:
-    with _template_lock:
-        if not any(_alive(p.pid) for p in _forked):
-            forkserver._forkserver._stop()
 
 
 def _stamp(hb: Any) -> None:
@@ -215,7 +166,7 @@ class AttemptHandle:
         second reader would get EOF and record exit code 255 instead.
         """
         pid = self.proc.pid
-        return pid is not None and _alive(pid)
+        return pid is not None and template.alive(pid)
 
     def heartbeat_age(self) -> float:
         """Seconds since the child's last stamp, on the shared monotonic
@@ -315,7 +266,7 @@ class WorkerPool:
             self.spawned += 1
             self._attempts[job.id] = handle
         job.current_ck = handle
-        _fork_attempt(proc)
+        template.fork_attempt(proc)
         send.close()  # child holds the only write end: EOF tracks its death
         start = time.monotonic()
         hard_deadline = (
@@ -374,7 +325,7 @@ class WorkerPool:
             if proc.is_alive():
                 _hard_kill(proc)
             proc.join(timeout=5.0)
-            _forget_attempt(proc)
+            template.forget_attempt(proc)
             recv.close()
         kind = terminal[0]
         if kind == "ok":
@@ -518,7 +469,7 @@ class WorkerPool:
         deadline = time.monotonic() + 5.0
         while any(h.alive() for h in killed) and time.monotonic() < deadline:
             time.sleep(0.01)
-        _stop_idle_template()
+        template.stop_idle_template()
         return len(killed)
 
     def stats(self) -> dict[str, Any]:
@@ -560,32 +511,6 @@ def _hard_kill(proc: multiprocessing.process.BaseProcess) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _set_pdeathsig() -> None:
-    """Arm PR_SET_PDEATHSIG=SIGTERM (Linux) against the parent — the
-    template, which exits with the server: if the server is kill -9'd,
-    the child checkpoints at its next boundary instead of racing the
-    restarted server for the spool as an orphan.  Best-effort elsewhere."""
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG = 1
-    except (OSError, AttributeError, TypeError):
-        pass
-
-
-def _drop_template_hold() -> None:
-    """Close this child's copy of the template's liveness pipe.
-
-    The template exits once every holder of that pipe has closed it;
-    with the children's copies gone, that is the moment the server dies,
-    and the template's exit is what fires the children's PDEATHSIG.
-    """
-    fs = forkserver._forkserver
-    os.close(fs._forkserver_alive_fd)
-    fs._forkserver_alive_fd = None
-
-
 def _safe_send(conn: Any, msg: tuple) -> None:
     """Send, swallowing a vanished parent — the child finishes its atomic
     cache/spool writes either way, and those are what resume reads."""
@@ -598,17 +523,12 @@ def _safe_send(conn: Any, msg: tuple) -> None:
 def _attempt_main(conn: Any, hb: Any, payload: dict[str, Any]) -> None:
     """Child entry point: run the attempt's remaining cells, stream progress.
 
-    Ordering here is the crash-safety contract: pdeathsig + rlimit first
-    (so even an early wreck is contained), then signal handlers, then the
+    Ordering here is the crash-safety contract: the template prologue
+    (PDEATHSIG, a dead server's exit 98, failpoints) and the rlimit first,
+    so even an early wreck is contained, then signal handlers, then the
     ``ready`` message — only after which the parent will forward SIGTERM.
-    PDEATHSIG is armed while this child still keeps the template alive,
-    so the template cannot exit before it is armed.
     """
-    _set_pdeathsig()
-    _drop_template_hold()
-    parent = payload.get("parent_pid")
-    if parent and not _alive(parent):
-        os._exit(98)  # the server died during launch: nobody is listening
+    template.attempt_prologue(payload["parent_pid"], payload["failpoints"])
     if payload.get("mem_limit_mb"):
         try:
             import resource
@@ -617,9 +537,6 @@ def _attempt_main(conn: Any, hb: Any, payload: dict[str, Any]) -> None:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         except (ImportError, ValueError, OSError):
             pass
-    if payload.get("failpoints"):
-        spec, seed = payload["failpoints"]
-        failpoints.configure(spec, seed)
 
     # The current cell's checkpointer, shared with the SIGTERM handler.
     holder: dict[str, Any] = {"ck": None, "preempt": False}

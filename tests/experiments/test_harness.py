@@ -1,7 +1,7 @@
 """Crash-tolerant sweep harness: failure paths, checkpoint/resume, atomics.
 
-The stub runners are module-level so the spawn start method can pickle
-them by reference (``tests`` is a package), and take ``**_`` for the
+The stub runners are module-level so that they pickle by reference to
+each forked worker (``tests`` is a package), and take ``**_`` for the
 ``checkpoint``/``resume_from`` keywords every runner receives under a run
 directory.  Where a stub needs state that survives the process boundary
 (attempt counting, "which jobs ran"), the harness's opaque ``cfg``
@@ -11,7 +11,9 @@ files in it.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -20,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import template
+from repro.config import scaled_config
 from repro.experiments.harness import (
     CompletedRun,
     FailedRun,
@@ -38,7 +42,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 # --------------------------------------------------------------------------
-# stub runners (must stay module-level: spawn pickles them by reference)
+# stub runners (must stay module-level: workers unpickle them by reference)
 
 
 def ok_runner(job, cfg, **_):
@@ -83,6 +87,38 @@ BIG_RESULT_BYTES = 256 * 1024
 
 def big_runner(job, cfg, **_):
     return {**ok_runner(job, cfg), "blob": "x" * BIG_RESULT_BYTES}
+
+
+def pid_runner(job, cfg, **_):
+    """ok_runner that also reports the worker's pid and its parent's."""
+    return {**ok_runner(job, cfg), "pid": os.getpid(), "ppid": os.getppid()}
+
+
+def running(pid):
+    """Whether ``pid`` is a live (not zombie) process, from /proc."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+@contextlib.contextmanager
+def template_held():
+    """Another user's live attempt, as a service pool's would be: the
+    template then outlives every sweep run inside the block."""
+    holder = multiprocessing.get_context("forkserver").Process(
+        target=time.sleep, args=(120,), daemon=True
+    )
+    template.fork_attempt(holder)
+    try:
+        yield
+    finally:
+        holder.kill()
+        holder.join(10)
+        template.forget_attempt(holder)
+        template.stop_idle_template()
 
 
 # --------------------------------------------------------------------------
@@ -162,6 +198,26 @@ class TestIsolated:
         assert rec.error == "Timeout"
         assert outcome.timed_out == 1
 
+    def test_timeout_under_a_run_dir_is_a_timeout_not_a_preemption(
+        self, tmp_path, monkeypatch
+    ):
+        # The hold outlasts the deadline, so the SIGTERM finds the worker
+        # asleep; it wakes inside the parent's one-second join and, having
+        # a run dir, answers with a snapshot at its first task boundary.
+        # That reply must not turn the timeout into a preemption.
+        monkeypatch.setenv(FAILPOINTS_ENV, "harness.worker.slow=*@param:1.1")
+        outcome = run_sweep(
+            [Job("kmeans", "tdnuca")], scaled_config(1 / 1024),
+            run_dir=tmp_path / "run", workers=2, timeout=1.0, retries=0,
+        )
+        assert not outcome.preempted and not outcome.interrupted
+        assert outcome.ok == 0 and outcome.failed == 1
+        rec = outcome.failures[0]
+        assert rec.error == "Timeout" and rec.timed_out
+        assert outcome.timed_out == 1
+        assert load_manifest(tmp_path / "run")["status"]["kmeans/tdnuca"][
+            "status"] == "timeout"
+
     def test_result_larger_than_the_pipe_buffer_is_received(self):
         # The worker blocks in send until the parent reads; a parent that
         # only reads after the worker exits would wait out the timeout.
@@ -197,6 +253,55 @@ class TestIsolated:
         assert outcome.failed == 1
         assert outcome.failures[0].workload == "a"
         assert outcome.failures[0].error == "WorkerCrash"
+
+
+class TestForkedLaunch:
+    """Attempts fork from the shared pre-imported template."""
+
+    def test_each_attempt_is_forked_by_the_template(self):
+        outcome = run_sweep(
+            [Job("a", "p"), Job("b", "p"), Job("c", "p")],
+            runner=pid_runner, workers=2, retries=0,
+        )
+        runs = outcome.results().values()
+        assert outcome.ok == 3
+        assert len({r["pid"] for r in runs}) == 3
+        parents = {r["ppid"] for r in runs}
+        assert len(parents) == 1 and os.getpid() not in parents
+
+    def test_template_is_gone_when_the_sweep_returns(self):
+        outcome = run_sweep(
+            [Job("a", "p")], runner=pid_runner, workers=2, retries=0
+        )
+        run = outcome.results()[("a", "p")]
+        assert run["ppid"] != os.getpid()
+        assert not running(run["ppid"]) and not running(run["pid"])
+
+    def test_failpoint_spec_follows_the_sweep_not_the_template(
+        self, monkeypatch
+    ):
+        jobs = [Job("a", "p"), Job("b", "p")]
+        crash_a = "harness.worker.crash=*@job:a/p"
+
+        def sweep():
+            return run_sweep(jobs, runner=pid_runner, workers=2, retries=0)
+
+        # Set between two sweeps of one template: reaches the second.
+        with template_held():
+            clean = sweep()
+            monkeypatch.setenv(FAILPOINTS_ENV, crash_a)
+            armed = sweep()
+        assert clean.ok == 2 and not clean.failures
+        assert [(f.workload, f.error) for f in armed.failures] == [
+            ("a", "WorkerCrash")
+        ]
+        assert (clean.results()[("b", "p")]["ppid"]
+                == armed.results()[("b", "p")]["ppid"])
+        # Cleared after a template started with it set: gone.
+        with template_held():
+            monkeypatch.delenv(FAILPOINTS_ENV)
+            cleared = sweep()
+        assert cleared.ok == 2 and not cleared.failures
 
 
 class TestCheckpointResume:

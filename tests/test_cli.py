@@ -311,6 +311,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count(" skipped ") == 2
 
+    def test_sweep_timeout_is_a_failure_not_a_preemption(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Every CLI sweep has a run dir, so a worker past --timeout answers
+        # the SIGTERM with a snapshot.  It is still a timed-out attempt,
+        # retried under --retries.  The hold keeps gauss/tdnuca unfinished
+        # after two 1.5 s attempts on any host.
+        monkeypatch.setenv(
+            "REPRO_FAILPOINTS",
+            "harness.worker.slow=*@job:gauss/tdnuca@param:1.0",
+        )
+        out = tmp_path / "out.json"
+        rc = main([
+            "sweep", "--scale", "1024", "--workloads", "gauss", "md5",
+            "--policies", "tdnuca", "--jobs", "2", "--timeout", "1.5",
+            "--retries", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        printed = capsys.readouterr().out
+        assert "re-run with 'repro sweep --resume" in printed
+        assert "preempted" not in printed
+        payload = json.loads(out.read_text())
+        assert set(payload["runs"]) == {"md5/tdnuca"}
+        [failure] = payload["failures"]
+        assert failure["error"] == "Timeout" and failure["timed_out"]
+        assert failure["attempts"] == 2
+
     def test_compare_reports_schema_mismatch(self, tmp_path, capsys):
         versioned = tmp_path / "new.json"
         versioned.write_text(
