@@ -11,8 +11,9 @@ larger than a pipe's 64 KiB buffer under ``--timeout``, so a parent that
 stops draining its workers' result pipes fails fast instead of hanging.
 Last, a two-cell sweep is ``kill -9``'d mid-job: every process it started
 (the fork template, its workers, the resource tracker) must exit within
-:data:`REAP_WITHIN` seconds, and ``--resume`` must finish the campaign
-with the runs of an uninterrupted sweep.
+:data:`REAP_WITHIN` seconds, and ``--resume`` must continue the long job
+from the snapshot its orphaned worker left and finish the campaign with
+the runs of an uninterrupted sweep.
 
 Usage: ``PYTHONPATH=src python scripts/sweep_smoke.py``
 """
@@ -91,6 +92,13 @@ def kill9_leg(tmp: Path) -> None:
     assert rc == 0, f"uninterrupted sweep should exit 0, got {rc}"
     merged = json.loads(out.read_text())["runs"]
     assert set(merged) == {"gauss/snuca", "gauss/tdnuca"}, merged.keys()
+    # The orphaned workers checkpointed on their way out, and --resume
+    # continues the long job from that snapshot rather than from task 0.
+    assert merged["gauss/tdnuca"].pop("resumed_from_task", 0) > 0, (
+        "--resume after kill -9 restarted gauss/tdnuca instead of "
+        "continuing it from its snapshot"
+    )
+    merged["gauss/snuca"].pop("resumed_from_task", None)
     assert merged == json.loads(reference.read_text())["runs"], (
         "resumed-after-kill-9 runs diverge from an uninterrupted sweep"
     )

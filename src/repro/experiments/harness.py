@@ -1,23 +1,26 @@
-"""Crash-tolerant parallel sweep harness.
+"""Crash-tolerant parallel sweep harness: plan, shards and merge.
 
 Long simulation campaigns are the dominant cost of reproduction work, and a
 serial double loop loses the whole campaign to one hung or crashed run.
 This module runs each :class:`Job` — one ``(workload, policy, seed)`` cell
-of a sweep — through a small job engine that provides:
+of a sweep — through one scheduling loop that provides:
 
-* **Process isolation** — each attempt runs in its own worker process,
-  forked from the pre-imported template of :mod:`repro.template` (the
-  worker entry point and all job arguments are picklables sent to it), so
-  a segfault, ``os._exit``, or unbounded hang in one run cannot take down
+* **Process isolation** — with ``workers > 1`` or a ``timeout``, each
+  attempt is forked and supervised by the attempt path the service pool
+  uses too (:mod:`repro.template`: one child entry, one supervisor), so a
+  segfault, ``os._exit``, or unbounded hang in one run cannot take down
   the sweep, and a ``kill -9`` of the sweep stops its workers at their
-  next task boundary.
-* **Per-job wall-clock timeouts** — a worker past its deadline is
-  terminated (then killed) and the attempt is recorded as timed out; the
-  retry resumes from the snapshot a worker with a run directory leaves.
+  next task boundary.  The child stamps a heartbeat and fires the
+  ``worker.*`` failpoints at every task boundary; the sweep enforces no
+  lease on it — ``timeout`` is its hang guard.
+* **Per-job wall-clock timeouts** — at its deadline an attempt is asked
+  to checkpoint and stop, :data:`TIMEOUT_GRACE` seconds later it is
+  killed, and the attempt is recorded as timed out.
 * **Bounded retries with exponential backoff** — transient failures
   (worker crashes, timeouts, I/O errors) are retried up to ``retries``
   times with ``backoff * 2**(attempt-1)`` seconds between attempts;
-  deterministic errors (:data:`PERMANENT_ERRORS`) fail immediately.
+  deterministic errors (:data:`repro.template.PERMANENT_ERRORS`) fail
+  immediately.
 * **Graceful degradation** — a job that exhausts its retries becomes a
   structured :class:`FailedRun` (error class, message, traceback, attempt
   count, elapsed time) in the outcome instead of an exception that aborts
@@ -26,52 +29,49 @@ of a sweep — through a small job engine that provides:
   written atomically as one JSON shard under ``run_dir/shards/`` and the
   sweep identity (config hash, job list, request) is kept in
   ``run_dir/manifest.json``; ``resume=True`` skips jobs with a valid "ok"
-  shard and re-runs only failed or missing ones.
+  shard and re-runs only the others.
+* **Snapshot resume** — a job's snapshot lives at
+  ``run_dir/snapshots/<shard stem>.snap``.  A retry, and every job of a
+  ``resume=True`` sweep, continues from it byte-identically when a valid
+  one is on disk — whether a preemption, a timeout or a periodic
+  ``checkpoint_every`` save left it; a corrupt snapshot, or one of another
+  identity, is quarantined to ``*.corrupt`` and the job reruns from
+  scratch.
 * **Graceful preemption** — SIGTERM/SIGINT (or an expired ``deadline``)
   makes every in-flight job write a mid-run simulation snapshot at its
   next task boundary (see :mod:`repro.snapshot`), records it as a
-  ``"preempted"`` shard pointing at ``run_dir/snapshots/``, terminates and
-  joins all workers, and writes the final manifest with sweep status
-  ``"interrupted"``.  A later ``resume=True`` sweep restores each
-  preempted job from its snapshot and continues it byte-identically; a
-  corrupt snapshot is quarantined to ``*.corrupt`` and the job simply
-  reruns from scratch.
+  ``"preempted"`` shard, joins all workers, and writes the final manifest
+  with sweep status ``"interrupted"``.
 
-With ``workers=1`` and no timeout the engine degrades to an in-process
-serial loop (no subprocess overhead) that still retries and checkpoints —
-that is the mode :meth:`repro.api.Session.suite` uses by default, so
-library callers pay nothing for the robustness they don't ask for.
+With ``workers=1`` and no timeout the attempts run in this process (no
+subprocess overhead), through the same loop, verdicts and retries — that
+is the mode :meth:`repro.api.Session.suite` uses by default, so library
+callers pay nothing for the robustness they don't ask for.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import os
 import signal
 import threading
 import time
-import traceback
 from collections import deque
+from concurrent import futures
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
-from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro import failpoints, template
+from repro import template
 from repro.experiments.serialize import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     SchemaVersionError,
 )
 from repro.ioutils import atomic_write
-from repro.snapshot import (
-    Checkpointer,
-    PreemptedError,
-    config_sha256,
-    load_or_quarantine,
-)
+from repro.snapshot import config_sha256
+from repro.template import retry_delay
 
 __all__ = [
     "Job",
@@ -83,8 +83,6 @@ __all__ = [
     "run_sweep",
     "load_manifest",
     "config_fingerprint",
-    "retry_delay",
-    "PERMANENT_ERRORS",
     "MANIFEST_NAME",
     "SHARD_DIR",
     "SNAPSHOT_DIR",
@@ -98,16 +96,9 @@ SNAPSHOT_DIR = "snapshots"
 #: task boundary and write their snapshots before they are killed.
 PREEMPT_GRACE = 10.0
 
-#: error classes retrying cannot fix: deterministic programming or
-#: configuration mistakes.  Everything else — worker crashes, timeouts,
-#: OS-level I/O hiccups — is treated as transient and retried.
-PERMANENT_ERRORS = (
-    ValueError,
-    TypeError,
-    KeyError,
-    AttributeError,
-    NotImplementedError,
-)
+#: seconds a worker past its ``timeout`` gets to checkpoint and stop
+#: before it is killed.
+TIMEOUT_GRACE = 1.0
 
 
 @dataclass(frozen=True)
@@ -231,6 +222,13 @@ class SweepOutcome:
 
     def results(self) -> dict[tuple[str, str], Any]:
         """Completed results keyed ``(workload, policy)``."""
+        return self._merged(lambda run: run.result)
+
+    def result_dicts(self) -> dict[tuple[str, str], dict[str, Any]]:
+        """Like :meth:`results` but every value flattened to a dict."""
+        return self._merged(CompletedRun.result_dict)
+
+    def _merged(self, value: Callable[[CompletedRun], Any]) -> dict:
         out: dict[tuple[str, str], Any] = {}
         for run in self.completed:
             key = (run.workload, run.policy)
@@ -239,20 +237,7 @@ class SweepOutcome:
                     f"duplicate run {run.workload}/{run.policy}: merging by "
                     "(workload, policy) needs one seed per pair"
                 )
-            out[key] = run.result
-        return out
-
-    def result_dicts(self) -> dict[tuple[str, str], dict[str, Any]]:
-        """Like :meth:`results` but every value flattened to a dict."""
-        out: dict[tuple[str, str], dict[str, Any]] = {}
-        for run in self.completed:
-            key = (run.workload, run.policy)
-            if key in out:
-                raise ValueError(
-                    f"duplicate run {run.workload}/{run.policy}: merging by "
-                    "(workload, policy) needs one seed per pair"
-                )
-            out[key] = run.result_dict()
+            out[key] = value(run)
         return out
 
 
@@ -269,23 +254,6 @@ class SweepFailure(RuntimeError):
         if extra > 0:
             shown += f" and {extra} more"
         super().__init__(f"{len(self.failures)} sweep job(s) failed: {shown}")
-
-
-def retry_delay(
-    attempt: int, backoff: float, *, cap: float = 30.0, rng: Any = None
-) -> float:
-    """Seconds to wait before retrying after ``attempt`` failures.
-
-    Exponential (``backoff * 2**(attempt-1)``) capped at ``cap``; with an
-    ``rng`` (anything exposing ``random()``), full-jitter in the upper
-    half of the window so a thundering herd of retries decorrelates — the
-    service queue passes one, the sweep harness keeps its deterministic
-    schedule by passing none.
-    """
-    delay = min(cap, backoff * (2 ** (attempt - 1)))
-    if rng is None:
-        return delay
-    return delay * (0.5 + 0.5 * rng.random())
 
 
 def config_fingerprint(cfg: Any) -> str:
@@ -314,87 +282,23 @@ def _default_runner(
     )
 
 
-def _build_checkpointer(ck_spec: dict[str, Any] | None) -> Checkpointer | None:
-    if ck_spec is None:
-        return None
-    deadline = None
-    if ck_spec.get("deadline_secs") is not None:
-        deadline = time.monotonic() + max(0.0, ck_spec["deadline_secs"])
-    return Checkpointer(
-        ck_spec["path"],
-        every=ck_spec.get("every", 0),
-        deadline=deadline,
-        preempt_after_tasks=ck_spec.get("preempt_after_tasks", 0),
-    )
+def _sweep_attempt(attempt: template.Attempt) -> Any:
+    """One attempt of a sweep job: the body of a forked attempt, or of an
+    in-process one.  Under a run directory the runner gets a checkpointer
+    and, on a retry or a resumed sweep, the job's snapshot to continue."""
+    p = attempt.payload
+    job, cfg, runner, snapshot = p["job"], p["cfg"], p["runner"], p["snapshot"]
+    if snapshot is None:
+        return runner(job, cfg)
 
-
-def _checkpoint_kwargs(ck: Checkpointer | None, ck_spec: dict[str, Any] | None):
-    """Runner kwargs for a checkpointed attempt; quarantines bad snapshots."""
-    if ck is None:
-        return {}
-    kwargs: dict[str, Any] = {"checkpoint": ck}
-    resume_from = ck_spec.get("resume_from")
-    if resume_from is not None and load_or_quarantine(resume_from) is not None:
-        # The snapshot parses and checksums; meta validation happens in
-        # the runner.  A corrupt file was just renamed *.corrupt and the
-        # job restarts from scratch.
-        kwargs["resume_from"] = resume_from
-    return kwargs
-
-
-def _worker_main(
-    conn_w, runner, job: Job, cfg: Any, ck_spec: dict[str, Any] | None,
-    parent_pid: int, failpoint_spec: tuple[str, int] | None,
-) -> None:
-    """Worker entry point, forked from the template: the same prologue as
-    a service attempt (:func:`repro.template.attempt_prologue`), then one
-    attempt of ``job`` and its one message to the parent."""
-    template.attempt_prologue(parent_pid, failpoint_spec)
-    # Chaos site: default action exits hard with status 99, emulating a
-    # native crash.
-    failpoints.fire("harness.worker.crash", job=job.label)
-    ck = _build_checkpointer(ck_spec)
-    if ck is not None:
-        # SIGTERM (forwarded by the parent on its own SIGTERM/SIGINT, or
-        # sent by a job scheduler) asks for checkpoint-then-exit at the
-        # next task boundary.  SIGINT is ignored: a terminal Ctrl-C hits
-        # the whole process group, and the parent coordinates it by
-        # forwarding SIGTERM — dying on the raw SIGINT would lose the
-        # snapshot.
-        try:
-            signal.signal(signal.SIGTERM, lambda signum, frame: ck.request_preempt())
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-        except ValueError:  # pragma: no cover - non-main-thread embedding
-            pass
-    # Chaos site: sleep before running, so an interrupting signal
-    # reliably lands mid-flight.
-    failpoints.fire("harness.worker.slow", job=job.label)
-    try:
-        result = runner(job, cfg, **_checkpoint_kwargs(ck, ck_spec))
-        payload = ("ok", result)
-    except PreemptedError as exc:
-        payload = ("preempted", str(exc.path), exc.tasks_completed)
-    except BaseException as exc:  # report everything, incl. SystemExit
-        payload = (
-            "error",
-            type(exc).__name__,
-            str(exc),
-            traceback.format_exc(),
-            isinstance(exc, PERMANENT_ERRORS),
+    def run(resume_from: str | None) -> Any:
+        ck = attempt.checkpointer(
+            snapshot, every=p["every"], deadline=p["deadline"],
+            preempt_after_tasks=p["preempt_after_tasks"],
         )
-    try:
-        conn_w.send(payload)
-    except Exception as exc:  # e.g. the result failed to pickle
-        try:
-            conn_w.send(
-                ("error", type(exc).__name__,
-                 f"result could not be sent to the parent: {exc}",
-                 traceback.format_exc(), True)
-            )
-        except Exception:
-            pass
-    finally:
-        conn_w.close()
+        return runner(job, cfg, checkpoint=ck, resume_from=resume_from)
+
+    return template.resume_or_fresh(run, snapshot if p["resume"] else None)
 
 
 @dataclass
@@ -403,31 +307,6 @@ class _Pending:
     attempt: int = 1
     ready_at: float = 0.0
     spent: float = 0.0  # wall time burned by earlier attempts
-    resume_from: str | None = None  # snapshot of a previously preempted run
-
-
-@dataclass
-class _Running:
-    item: _Pending
-    proc: Any
-    recv: Any
-    started: float
-    deadline: float | None
-    msg: tuple | None = None  # the worker's one message, once received
-
-
-def _receive(r: _Running) -> None:
-    """Take the worker's one message (if any has arrived) and close the
-    pipe; the worker closes its end after that message, so nothing more
-    can come."""
-    if r.recv.closed:
-        return
-    try:
-        if r.recv.poll():
-            r.msg = r.recv.recv()
-    except (EOFError, OSError):
-        pass
-    r.recv.close()
 
 
 def run_sweep(
@@ -449,21 +328,20 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run a sweep plan; never raises for individual job failures.
 
-    Attempts run in worker processes forked from the template of
-    :mod:`repro.template` whenever ``workers > 1`` or a ``timeout`` is set,
-    in the in-process serial loop otherwise; the template is stopped
-    before this returns unless another user in the process still has a
-    live attempt.  ``runner`` defaults to :meth:`Session.run`'s core on
-    ``cfg``; tests inject module-level stubs (``runner`` and ``cfg`` are
-    pickled to each worker).  A job past its ``timeout`` is recorded as
-    timed out and retried under ``retries``, resuming from the snapshot it
-    left under a run directory.  Every
-    runner takes ``(job, cfg)`` plus the ``checkpoint``/``resume_from``
-    keywords a run directory adds.  ``on_event``
-    receives ``(kind, job, detail)`` progress callbacks with kinds
-    ``start``/``ok``/``retry``/``failed``/``timeout``/``skipped``/
-    ``resumed``/``preempted``/``interrupted``.  ``request`` is recorded verbatim in the
-    manifest so a resume can reconstruct the original CLI invocation.
+    Attempts are forked from the template of :mod:`repro.template`
+    whenever ``workers > 1`` or a ``timeout`` is set, and run in this
+    process otherwise; the template is stopped before this returns unless
+    another user in the process still has a live attempt.  ``runner``
+    defaults to :meth:`Session.run`'s core on ``cfg``; tests inject
+    module-level stubs (``runner`` and ``cfg`` are pickled to each
+    worker).  A job past its ``timeout`` is recorded as timed out and
+    retried under ``retries``.  Every runner takes ``(job, cfg)`` plus the
+    ``checkpoint``/``resume_from`` keywords a run directory adds.
+    ``on_event`` receives ``(kind, job, detail)`` progress callbacks with
+    kinds ``start``/``ok``/``retry``/``failed``/``timeout``/``skipped``/
+    ``resumed``/``preempted``/``interrupted``.  ``request`` is recorded
+    verbatim in the manifest so a resume can reconstruct the original CLI
+    invocation.
 
     Preemption: while the sweep runs (from the main thread), SIGTERM and
     SIGINT are trapped — in-flight jobs snapshot at their next task
@@ -498,10 +376,16 @@ def run_sweep(
     emit = on_event if on_event is not None else (lambda kind, job, detail: None)
 
     outcome = SweepOutcome()
-    pending = [_Pending(job) for job in plan]
+    pending = list(plan)
     shard_dir: Path | None = None
     snap_dir: Path | None = None
     rd = Path(run_dir) if run_dir is not None else None
+
+    def snapshot_of(job: Job) -> Path | None:
+        if snap_dir is None:
+            return None
+        return snap_dir / f"{Path(job.shard_name).stem}.snap"
+
     if rd is not None:
         snap_dir = rd / SNAPSHOT_DIR
         snap_dir.mkdir(parents=True, exist_ok=True)
@@ -534,10 +418,10 @@ def run_sweep(
                     )
                     emit("skipped", job, "already checkpointed")
                     continue
-                snapshot = _load_preempted_snapshot(shard_dir / job.shard_name)
-                if snapshot is not None:
+                snapshot = snapshot_of(job)
+                if snapshot.is_file():
                     emit("resumed", job, f"continuing from snapshot {snapshot}")
-                pending.append(_Pending(job, resume_from=snapshot))
+                pending.append(job)
         _write_manifest(rd, plan, cfg, request)
 
     def complete(job: Job, result: Any, attempts: int, elapsed: float) -> None:
@@ -576,7 +460,7 @@ def run_sweep(
         emit("timeout" if timed_out else "failed", job,
              f"{error}: {message}"[:200])
 
-    def preempted_cb(
+    def preempted(
         job: Job, snapshot: str, tasks_done: int, attempts: int, elapsed: float
     ) -> None:
         rec = PreemptedRun(
@@ -596,34 +480,76 @@ def run_sweep(
 
     stop = threading.Event()
     deadline_at = time.monotonic() + deadline if deadline is not None else None
+    queue: deque[_Pending] = deque(_Pending(job) for job in pending)
 
-    def ck_spec_for(item: _Pending) -> dict[str, Any] | None:
-        if snap_dir is None:
-            return None
-        snap_path = snap_dir / (Path(item.job.shard_name).stem + ".snap")
-        secs = None
-        if deadline_at is not None:
-            secs = max(0.0, deadline_at - time.monotonic())
+    def payload_for(item: _Pending) -> dict[str, Any]:
+        snapshot = snapshot_of(item.job)
         return {
-            "path": str(snap_path),
+            "label": item.job.label,
+            "attempt": item.attempt,
+            "start_sites": ("harness.worker.crash", "harness.worker.slow"),
+            "checkpoints": snapshot is not None,
+            "job": item.job,
+            "cfg": cfg,
+            "runner": run,
+            "snapshot": None if snapshot is None else str(snapshot),
+            "resume": resume or item.attempt > 1,
             "every": checkpoint_every,
-            "deadline_secs": secs,
+            "deadline": deadline_at,
             "preempt_after_tasks": preempt_after_tasks,
-            "resume_from": item.resume_from,
         }
+
+    def settle(item: _Pending, verdict: tuple, elapsed: float,
+               timed_out: bool) -> None:
+        """Complete, retry, fail or record an attempt, forked or not, from
+        its verdict."""
+        spent = item.spent + elapsed
+        kind = verdict[0]
+        if kind == "ok":
+            complete(item.job, verdict[1], item.attempt, spent)
+            return
+        timed_out = timed_out and not stop.is_set()
+        if timed_out:
+            # Past its deadline: a Timeout, whatever the stop request made
+            # it reply; a snapshot it left is where the retry continues.
+            error, message, tb, permanent = (
+                "Timeout", f"worker exceeded the {timeout}s deadline", "", False
+            )
+        elif kind == "preempted":
+            preempted(item.job, verdict[1], verdict[2], item.attempt, spent)
+            return
+        elif kind == "error":
+            _, error, message, tb, permanent = verdict
+        elif stop.is_set():
+            # Killed before reaching a checkpoint (or keeping none): no
+            # shard is written, so a resume simply reruns the job.
+            emit("interrupted", item.job, "stopped before reaching a checkpoint")
+            return
+        else:  # died without a word: native crash, os._exit, signal
+            error, message, tb, permanent = (
+                "WorkerCrash",
+                f"worker exited with code {verdict[1]} before reporting a result",
+                "", False,
+            )
+        if not permanent and not stop.is_set() and item.attempt <= retries:
+            delay = retry_delay(item.attempt, backoff)
+            queue.append(_Pending(item.job, item.attempt + 1,
+                                  time.monotonic() + delay, spent))
+            emit("retry", item.job, f"attempt {item.attempt}: {error}")
+        else:
+            fail(item.job, error, message, tb, item.attempt, spent, timed_out)
 
     # Signal hygiene: while the sweep runs, SIGTERM/SIGINT mean "checkpoint
     # everything in flight, join every worker, return cleanly" — never an
     # exception that strands children or a half-written run directory.
     # Only the main thread can install handlers; embeddings running the
     # sweep elsewhere keep deadline/periodic checkpointing.
-    active_ck: list[Checkpointer | None] = [None]  # inline mode's live job
+    live: set[Any] = set()  # in-flight attempts' preempt targets
 
     def _on_signal(signum, frame):
         stop.set()
-        ck = active_ck[0]
-        if ck is not None:
-            ck.request_preempt()
+        for target in list(live):
+            target.request_preempt()
 
     old_handlers: dict[int, Any] = {}
     try:
@@ -632,23 +558,86 @@ def run_sweep(
     except ValueError:  # pragma: no cover - not the main thread
         pass
 
+    # The one scheduling loop.  Each ready job gets an attempt: in this
+    # process when not isolated (one at a time; the signal handler
+    # preempts it through ``live``), else forked by template.launch and
+    # supervised on one of ``workers`` threads.  Both end in a verdict for
+    # settle().  On a signal or the sweep deadline the loop drains: no
+    # new launches, a preempt request to every attempt, PREEMPT_GRACE to
+    # finish writing snapshots, then SIGKILL for stragglers.  Every child
+    # is joined, and the template stopped if idle, before this returns.
+    running: dict[Future, tuple[_Pending, template.AttemptHandle]] = {}
+    pool = ThreadPoolExecutor(workers) if isolated else None
+    draining = False
+    grace_at = 0.0
     t0 = time.monotonic()
     try:
-        if isolated:
-            _run_isolated(
-                pending, cfg, run, workers, timeout, retries, backoff,
-                complete, fail, emit,
-                stop=stop, deadline_at=deadline_at,
-                ck_spec_for=ck_spec_for, preempted=preempted_cb,
-            )
-        else:
-            _run_inline(
-                pending, cfg, run, retries, backoff, complete, fail, emit,
-                stop=stop, deadline_at=deadline_at,
-                ck_spec_for=ck_spec_for, preempted=preempted_cb,
-                active_ck=active_ck,
-            )
+        while queue or running:
+            now = time.monotonic()
+            if deadline_at is not None and now >= deadline_at:
+                stop.set()
+            if stop.is_set() and not draining:
+                draining = True
+                grace_at = now + PREEMPT_GRACE
+                while queue:
+                    emit("interrupted", queue.popleft().job, "not started")
+                for target in list(live):
+                    target.request_preempt()
+            if draining and now >= grace_at:
+                for _, handle in running.values():
+                    handle.kill()
+            # Start every ready job while a slot is free; items still
+            # backing off rotate to the back of the queue.
+            for _ in range(len(queue)):
+                if len(running) >= workers:
+                    break
+                item = queue.popleft()
+                if item.ready_at > now:
+                    queue.append(item)
+                    continue
+                if pool is None:
+                    attempt = template.Attempt(payload_for(item))
+                    live.add(attempt)
+                    emit("start", item.job, f"attempt {item.attempt}")
+                    started = time.monotonic()
+                    verdict = template.verdict_of(_sweep_attempt, attempt)
+                    live.discard(attempt)
+                    settle(item, verdict, time.monotonic() - started, False)
+                    break  # look at the clock and the signals again first
+                handle = template.launch(_sweep_attempt, payload_for(item))
+                live.add(handle)
+                emit("start", item.job, f"attempt {item.attempt}")
+                fut = pool.submit(
+                    handle.supervise, None, budget=timeout, grace=TIMEOUT_GRACE
+                )
+                running[fut] = (item, handle)
+            # Block until an attempt settles, or for at most a quarter
+            # second so signals, the deadline and backoff windows are seen.
+            if running:
+                done, _ = futures.wait(
+                    running, timeout=0.25, return_when=futures.FIRST_COMPLETED
+                )
+                for fut in done:
+                    item, handle = running.pop(fut)
+                    live.discard(handle)
+                    try:
+                        verdict = fut.result()
+                    except template.WorkerDied as died:
+                        verdict = ("died", died.exitcode)
+                    settle(item, verdict, time.monotonic() - handle.started,
+                           handle.timed_out)
+            elif queue:
+                soonest = min(item.ready_at for item in queue)
+                if soonest > now:
+                    time.sleep(min(soonest - now, 0.25))
     finally:
+        # Belt and braces: whatever path exits this loop, no child of the
+        # sweep survives it, and neither does an idle template.
+        for _, handle in running.values():
+            handle.kill()
+        if pool is not None:
+            pool.shutdown(wait=True)
+        template.stop_idle_template()
         for signum, handler in old_handlers.items():
             try:
                 signal.signal(signum, handler)
@@ -661,279 +650,6 @@ def run_sweep(
     if rd is not None:
         _write_manifest(rd, plan, cfg, request, outcome=outcome)
     return outcome
-
-
-def _run_inline(
-    pending: list[_Pending],
-    cfg: Any,
-    runner: Callable[..., Any],
-    retries: int,
-    backoff: float,
-    complete: Callable,
-    fail: Callable,
-    emit: Callable,
-    stop: threading.Event | None = None,
-    deadline_at: float | None = None,
-    ck_spec_for: Callable[[_Pending], dict | None] | None = None,
-    preempted: Callable | None = None,
-    active_ck: list | None = None,
-) -> None:
-    """Serial in-process execution: retries and checkpoints, no isolation.
-
-    The parent *is* the worker here, so the sweep's signal handler preempts
-    the in-flight job through ``active_ck`` and this loop simply stops
-    starting new jobs once ``stop`` is set.
-    """
-    for item in pending:
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            if stop is not None:
-                stop.set()
-        if stop is not None and stop.is_set():
-            emit("interrupted", item.job, "not started")
-            continue
-        job = item.job
-        attempt, spent = item.attempt, item.spent
-        while True:
-            emit("start", job, f"attempt {attempt}")
-            ck_spec = ck_spec_for(item) if ck_spec_for is not None else None
-            ck = _build_checkpointer(ck_spec)
-            if active_ck is not None:
-                active_ck[0] = ck
-            t0 = time.monotonic()
-            try:
-                result = runner(job, cfg, **_checkpoint_kwargs(ck, ck_spec))
-            except PreemptedError as exc:
-                spent += time.monotonic() - t0
-                # A deadline preemption stops the whole sweep; the
-                # per-task test trigger only stops this job.
-                if (
-                    stop is not None
-                    and ck is not None
-                    and ck.deadline is not None
-                    and time.monotonic() >= ck.deadline
-                ):
-                    stop.set()
-                if preempted is not None:
-                    preempted(job, str(exc.path), exc.tasks_completed,
-                              attempt, spent)
-                break
-            except Exception as exc:
-                spent += time.monotonic() - t0
-                permanent = isinstance(exc, PERMANENT_ERRORS)
-                interrupted = stop is not None and stop.is_set()
-                if not permanent and not interrupted and attempt <= retries:
-                    emit("retry", job, f"attempt {attempt}: {type(exc).__name__}")
-                    if backoff:
-                        time.sleep(retry_delay(attempt, backoff))
-                    attempt += 1
-                    continue
-                fail(job, type(exc).__name__, str(exc),
-                     traceback.format_exc(), attempt, spent, False)
-                break
-            finally:
-                if active_ck is not None:
-                    active_ck[0] = None
-            spent += time.monotonic() - t0
-            complete(job, result, attempt, spent)
-            break
-
-
-def _run_isolated(
-    pending: list[_Pending],
-    cfg: Any,
-    runner: Callable[..., Any],
-    workers: int,
-    timeout: float | None,
-    retries: int,
-    backoff: float,
-    complete: Callable,
-    fail: Callable,
-    emit: Callable,
-    stop: threading.Event | None = None,
-    deadline_at: float | None = None,
-    ck_spec_for: Callable[[_Pending], dict | None] | None = None,
-    preempted: Callable | None = None,
-) -> None:
-    """Parallel execution, one forked worker per attempt, deadline-enforced.
-
-    A worker past its deadline is SIGTERMed, then killed, and the attempt
-    is a ``Timeout`` whatever it replied; a worker with a run directory
-    checkpoints on SIGTERM, and the retry resumes from that snapshot.
-    When ``stop`` is set (signal) or ``deadline_at`` passes, the loop
-    drains instead: no new launches, SIGTERM to every worker so each
-    checkpoints at its next task boundary and is recorded preempted, a
-    :data:`PREEMPT_GRACE` window to finish writing, then SIGKILL for
-    stragglers.  Every child is joined, and the template stopped if idle,
-    before this function returns — an interrupted sweep leaves no orphans.
-    """
-    ctx = multiprocessing.get_context("forkserver")
-    queue: deque[_Pending] = deque(pending)
-    running: dict[Any, _Running] = {}
-    draining = False
-    grace_deadline = 0.0
-
-    def handle_failure(
-        item: _Pending, error: str, message: str, tb: str,
-        permanent: bool, timed_out: bool, spent: float,
-        snapshot: str | None = None,
-    ) -> None:
-        retryable = not permanent and item.attempt <= retries and not draining
-        if retryable:
-            delay = retry_delay(item.attempt, backoff)
-            queue.append(
-                _Pending(item.job, item.attempt + 1,
-                         time.monotonic() + delay, spent,
-                         snapshot or item.resume_from)
-            )
-            emit("retry", item.job, f"attempt {item.attempt}: {error}")
-        else:
-            fail(item.job, error, message, tb, item.attempt, spent, timed_out)
-
-    try:
-        while queue or running:
-            now = time.monotonic()
-            if (
-                deadline_at is not None
-                and stop is not None
-                and not stop.is_set()
-                and now >= deadline_at
-            ):
-                stop.set()
-            if stop is not None and stop.is_set() and not draining:
-                draining = True
-                grace_deadline = now + PREEMPT_GRACE
-                while queue:
-                    item = queue.popleft()
-                    emit("interrupted", item.job, "not started")
-                for r in running.values():
-                    if r.proc.is_alive():
-                        # Checkpoint-aware workers trap this and snapshot
-                        # at the next task boundary; others just exit.
-                        r.proc.terminate()
-            if draining and running and time.monotonic() >= grace_deadline:
-                for r in running.values():
-                    if r.proc.is_alive():
-                        r.proc.kill()
-            # Launch every ready pending job while a worker slot is free;
-            # items still backing off rotate to the back of the queue.
-            if not draining:
-                for _ in range(len(queue)):
-                    if len(running) >= workers:
-                        break
-                    item = queue.popleft()
-                    if item.ready_at > now:
-                        queue.append(item)
-                        continue
-                    recv, send = ctx.Pipe(duplex=False)
-                    ck_spec = ck_spec_for(item) if ck_spec_for is not None else None
-                    proc = ctx.Process(
-                        target=_worker_main,
-                        args=(send, runner, item.job, cfg, ck_spec,
-                              os.getpid(), failpoints.active_spec()),
-                        daemon=True,
-                    )
-                    template.fork_attempt(proc)
-                    send.close()  # keep only the child's end open for EOF
-                    started = time.monotonic()
-                    running[proc.sentinel] = _Running(
-                        item, proc, recv, started,
-                        started + timeout if timeout is not None else None,
-                    )
-                    emit("start", item.job, f"attempt {item.attempt}")
-
-            # Block until a child exits or sends its result, a deadline
-            # passes, or a backoff window opens.  Results are received as
-            # they arrive: a child sending more than the pipe buffers
-            # blocks until it is read, so it would never exit otherwise.
-            wait_for = 0.25
-            now = time.monotonic()
-            if running:
-                deadlines = [
-                    r.deadline for r in running.values() if r.deadline is not None
-                ]
-                if deadlines:
-                    wait_for = max(0.0, min(wait_for, min(deadlines) - now))
-                pipes = {r.recv: r for r in running.values() if not r.recv.closed}
-                for ready in connection.wait(
-                    [*running, *pipes], timeout=wait_for
-                ):
-                    if ready in pipes:
-                        _receive(pipes[ready])
-            elif queue:
-                soonest = min(item.ready_at for item in queue)
-                if soonest > now:
-                    time.sleep(min(soonest - now, wait_for))
-
-            # Reap exited children and enforce deadlines.
-            now = time.monotonic()
-            for sentinel, r in list(running.items()):
-                alive = r.proc.is_alive()
-                expired = r.deadline is not None and now >= r.deadline
-                if alive and not expired and not draining:
-                    continue
-                if alive and draining and now < grace_deadline:
-                    continue  # still inside the checkpoint grace window
-                del running[sentinel]
-                if alive:
-                    r.proc.terminate()
-                    r.proc.join(1.0)
-                    if r.proc.is_alive():
-                        r.proc.kill()
-                        r.proc.join(10.0)
-                template.forget_attempt(r.proc)
-                _receive(r)
-                msg = r.msg
-                exitcode = r.proc.exitcode
-                spent = r.item.spent + (time.monotonic() - r.started)
-                if msg is not None and msg[0] == "ok":
-                    complete(r.item.job, msg[1], r.item.attempt, spent)
-                elif alive and not draining:
-                    # Past its deadline: a Timeout, whatever the SIGTERM
-                    # made it reply.  A worker with a run directory
-                    # answers it with a snapshot the retry resumes from.
-                    handle_failure(
-                        r.item, "Timeout",
-                        f"worker exceeded the {timeout}s deadline", "",
-                        permanent=False, timed_out=True, spent=spent,
-                        snapshot=(
-                            msg[1] if msg is not None and msg[0] == "preempted"
-                            else None
-                        ),
-                    )
-                elif msg is not None and msg[0] == "preempted":
-                    if preempted is not None:
-                        preempted(r.item.job, msg[1], msg[2],
-                                  r.item.attempt, spent)
-                elif msg is not None:
-                    _, error, message, tb, permanent = msg
-                    handle_failure(
-                        r.item, error, message, tb,
-                        permanent=permanent, timed_out=False, spent=spent,
-                    )
-                elif draining:
-                    # Terminated before reaching a checkpoint (or no
-                    # checkpoint support): no shard is written, so a
-                    # resume simply reruns the job from scratch.
-                    emit("interrupted", r.item.job,
-                         "stopped before reaching a checkpoint")
-                else:  # died without a word: native crash, os._exit, signal
-                    handle_failure(
-                        r.item, "WorkerCrash",
-                        f"worker exited with code {exitcode} "
-                        "before reporting a result", "",
-                        permanent=False, timed_out=False, spent=spent,
-                    )
-    finally:
-        # Belt and braces: whatever path exits this loop, no child of the
-        # sweep survives it, and neither does an idle template.
-        for r in running.values():
-            if r.proc.is_alive():
-                r.proc.kill()
-            r.recv.close()
-        for r in running.values():
-            r.proc.join(10.0)
-            template.forget_attempt(r.proc)
-        template.stop_idle_template()
 
 
 # --------------------------------------------------------------------------
@@ -969,29 +685,6 @@ def _load_shard(path: Path) -> dict[str, Any] | None:
     if raw.get("status") != "ok" or not isinstance(raw.get("result"), dict):
         return None
     return raw
-
-
-def _load_preempted_snapshot(path: Path) -> str | None:
-    """The snapshot path recorded by a valid "preempted" shard, else None.
-
-    Missing/corrupt shards, stale schemas, other statuses, and shards whose
-    snapshot file has since vanished all return ``None`` — the job then
-    reruns from scratch, which is always correct (just slower)."""
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(raw, dict)
-        or raw.get("schema_version") not in SUPPORTED_SCHEMA_VERSIONS
-    ):
-        return None
-    if raw.get("status") != "preempted":
-        return None
-    snapshot = raw.get("snapshot")
-    if not isinstance(snapshot, str) or not Path(snapshot).is_file():
-        return None
-    return snapshot
 
 
 def _write_manifest(

@@ -128,7 +128,7 @@ class FailpointError(RuntimeError):
 
     A ``RuntimeError`` subclass, so retry classifiers treat it as a
     transient infrastructure failure (it is not in
-    :data:`repro.experiments.harness.PERMANENT_ERRORS`).
+    :data:`repro.template.PERMANENT_ERRORS`).
     """
 
 

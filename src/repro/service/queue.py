@@ -13,12 +13,12 @@ contract, piece by piece:
   :func:`~repro.service.cache.request_key`; duplicate submissions of an
   identical config perform exactly zero new simulation.
 * **Bounded retries with backoff + jitter** — transient failures re-run
-  the attempt after :func:`repro.experiments.harness.retry_delay`
+  the attempt after :func:`repro.template.retry_delay`
   (exponential, capped, jittered); permanent errors
-  (:data:`~repro.experiments.harness.PERMANENT_ERRORS`) fail immediately
+  (:data:`~repro.template.PERMANENT_ERRORS`) fail immediately
   with a typed ``job-failed`` envelope.
 * **Wall-clock budgets and eviction** — every attempt runs under a
-  :class:`~repro.snapshot.Checkpointer` deadline, so a job past its
+  budget, at which the worker is asked to checkpoint, so a job past its
   time slice (``evict_after``) preempts itself *at a task boundary*,
   leaves a resumable snapshot in the spool, and goes to the back of the
   queue; a job past its total ``timeout`` fails (typed ``timeout``) but
@@ -72,24 +72,18 @@ import random
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro import failpoints
-from repro.experiments.harness import PERMANENT_ERRORS, retry_delay
 from repro.ioutils import atomic_write
 from repro.service.cache import ResultCache, request_key
 from repro.service.envelope import ServiceError
 from repro.service.fleet import FleetNode
-from repro.service.workers import (
-    HARD_TIMEOUT_GRACE,
-    WorkerDied,
-    WorkerJobError,
-    WorkerPool,
-)
-from repro.sim.machine import POLICIES
-from repro.snapshot import PreemptedError, SnapshotMismatchError
+from repro.service.workers import WorkerDied, WorkerPool
+from repro.snapshot import PreemptedError, config_sha256
+from repro.template import PERMANENT_ERRORS, retry_delay
 
 __all__ = [
     "RunSpec",
@@ -1068,14 +1062,6 @@ class JobQueue:
                 # back through the ready queue, behind waiting work.
                 self._classify_preemption(job, exc)
                 return
-            except SnapshotMismatchError as exc:
-                # A stale spool snapshot slipped past the load check;
-                # _simulate_cell already quarantined it — rerun fresh.
-                job.spent += time.monotonic() - t0
-                job.events.append(
-                    {"kind": "snapshot_discarded", "reason": str(exc)}
-                )
-                continue
             except Exception as exc:  # noqa: BLE001 - classified below
                 job.spent += time.monotonic() - t0
                 if await self._maybe_retry(job, exc):
@@ -1151,14 +1137,15 @@ class JobQueue:
                 "job-failed", f"{error_name}: {exc}"
             ))
             return False
+        await self._back_off(job, error=error_name)
+        return True
+
+    async def _back_off(self, job: Job, **cause: Any) -> None:
+        """Record a retry and wait out its jittered backoff."""
         delay = retry_delay(job.attempts, self.backoff, rng=self._rng)
-        job.events.append(
-            {"kind": "retry", "after": round(delay, 3),
-             "error": error_name}
-        )
+        job.events.append({"kind": "retry", "after": round(delay, 3), **cause})
         if delay:
             await asyncio.sleep(delay)
-        return True
 
     async def _handle_worker_death(self, job: Job, died: WorkerDied) -> bool:
         """Classify a dead/silent worker; True when the job should rerun.
@@ -1200,13 +1187,7 @@ class JobQueue:
         if job.attempts <= max(self.retries, self.poison_after - 1):
             if self.pool is not None:
                 self.pool.restarts += 1
-            delay = retry_delay(job.attempts, self.backoff, rng=self._rng)
-            job.events.append(
-                {"kind": "retry", "after": round(delay, 3),
-                 "error": "WorkerDied", "reason": died.reason}
-            )
-            if delay:
-                await asyncio.sleep(delay)
+            await self._back_off(job, error="WorkerDied", reason=died.reason)
             return True
         self._fail(job, ServiceError("job-failed", f"WorkerDied: {died}"))
         return False
@@ -1281,7 +1262,6 @@ class JobQueue:
     def _assemble_result(self, job: Job) -> dict[str, Any]:
         if job.spec.kind == "run":
             return job.partial[job.spec.label]
-        from repro.experiments.harness import config_fingerprint
         from repro.experiments.serialize import SCHEMA_VERSION
 
         return {
@@ -1289,7 +1269,7 @@ class JobQueue:
             "runs": {cell: job.partial[cell] for cell in sorted(job.partial)},
             "failures": [],
             "sweep": {
-                "config_sha256": config_fingerprint(job.spec.config()),
+                "config_sha256": config_sha256(job.spec.config()),
                 "seed": job.spec.seed,
                 "scale": job.spec.scale,
             },

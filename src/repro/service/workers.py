@@ -4,39 +4,37 @@ The PR-6 queue executed every simulation on a ``ThreadPoolExecutor``
 inside the server process, so one segfaulting, OOM-ing, or runaway job
 took the whole service down with it.  This module moves each job attempt
 into a **process-isolated child** supervised from the (still
-thread-based) attempt slot:
+thread-based) attempt slot.  The launch, the child entry and the
+supervisor are the attempt path of :mod:`repro.template`, which the
+sweep harness runs too; this module adds what only the service needs:
 
 * **Process-per-attempt** — a fresh child per attempt, forked from the
-  pre-imported template of :mod:`repro.template`, which the sweep harness
-  shares: the child inherits no locks, no server heap and no earlier
-  job's state, yet skips the interpreter start and ``repro`` import a
-  cold start would pay on every attempt.  A crash costs exactly one
-  attempt.
-  The child streams progress over a one-way pipe (``ready`` /
-  ``cell_done`` / ``event`` / terminal ``ok``/``preempted``/``error``)
-  and writes results/snapshots to the shared cache/spool directories —
-  both atomic, so a child dying mid-write leaves either the old bytes or
-  the new bytes, never a torn file the parent would trust.
+  pre-imported template: the child inherits no locks, no server heap and
+  no earlier job's state, yet skips the interpreter start and ``repro``
+  import a cold start would pay on every attempt.  A crash costs exactly
+  one attempt.  The child body (:func:`_run_cells`) streams progress
+  (``cell_done`` / ``event`` / ``snapshot_discarded`` /
+  ``fleet_fenced``) ahead of the shared terminal verdict and writes
+  results/snapshots to the shared cache/spool directories — both atomic,
+  so a child dying mid-write leaves either the old bytes or the new
+  bytes, never a torn file the parent would trust.
 * **Heartbeat lease** — the child stamps a shared array at every
-  dispatch boundary (through a :class:`Checkpointer` subclass).  The
-  supervisor kills any child silent past ``lease_timeout``: a hung
-  worker is indistinguishable from a dead one, and both become a
-  :class:`WorkerDied` the queue requeues under its retry budget.
-  Lease age is judged on ``time.monotonic()`` deltas (parent and child
-  share one host, so one monotonic clock) — an NTP step can slew the
-  wall clock by minutes without making a healthy worker look dead; the
-  wall-clock stamp rides along for diagnostics only.
+  dispatch boundary and every cell.  The supervisor kills any child
+  silent past ``lease_timeout``: a hung worker is indistinguishable from
+  a dead one, and both become a :class:`WorkerDied` the queue requeues
+  under its retry budget.  Lease age is judged on ``time.monotonic()``
+  deltas (parent and child share one host, so one monotonic clock) — an
+  NTP step can slew the wall clock by minutes without making a healthy
+  worker look dead; the wall-clock stamp rides along for diagnostics only.
   Byte-identical resume comes for free: the retry attempt resumes from
   the dead worker's last periodic snapshot in the spool (the PR-5
   replay-journal guarantee).
+* **Budget** — at the attempt's budget the supervisor asks the child to
+  checkpoint and stop; :data:`HARD_TIMEOUT_GRACE` later it kills it.
 * **Memory rlimit** — ``mem_limit_mb`` applies ``RLIMIT_AS`` in the
   child, so a leaking simulation gets ``MemoryError`` (a classified,
   retryable failure) instead of inviting the host OOM killer to shoot
   the server.
-* **Ready gating** — the child's bootstrap runs before it installs its
-  SIGTERM handler.  The supervisor never forwards a preempt signal until
-  the child reports ``ready``, so a drain can't kill a child mid-startup
-  and lose the checkpoint the drain exists to write.
 * **Orphan reaping** — the child's prologue
   (:func:`repro.template.attempt_prologue`) arms ``PR_SET_PDEATHSIG``
   against the template, which exits as soon as the server does, so
@@ -53,16 +51,14 @@ child at deterministic task boundaries).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
 import threading
 import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro import failpoints, template
-from repro.snapshot import Checkpointer, PreemptedError
+from repro import template
+from repro.snapshot import PreemptedError
+from repro.template import AttemptHandle, WorkerDied
 
 __all__ = [
     "HARD_TIMEOUT_GRACE",
@@ -79,49 +75,6 @@ HARD_TIMEOUT_GRACE = 30.0
 #: how long a worker may go without a heartbeat before its lease expires.
 DEFAULT_LEASE_TIMEOUT = 30.0
 
-#: heartbeat array slots: lease decisions read the monotonic stamp; the
-#: wall stamp exists only so humans can line logs up against it.
-_HB_MONO = 0
-_HB_WALL = 1
-
-
-def _stamp(hb: Any) -> None:
-    """Stamp the heartbeat lease (child side, every task boundary)."""
-    hb[_HB_MONO] = time.monotonic()
-    hb[_HB_WALL] = time.time()
-
-
-class WorkerDied(Exception):
-    """A worker process died (or was killed) without settling its job.
-
-    ``reason`` is one of ``"crashed"`` (exited without a terminal
-    message), ``"lease-expired"`` (heartbeat went silent), or
-    ``"hard-timeout"`` (never reached a task boundary in the grace
-    window).  ``exitcode`` is the raw ``Process.exitcode`` (negative =
-    killed by that signal); ``term_signal`` extracts the signal number.
-    """
-
-    def __init__(
-        self,
-        reason: str,
-        *,
-        exitcode: int | None = None,
-        heartbeat_age: float = 0.0,
-    ) -> None:
-        self.reason = reason
-        self.exitcode = exitcode
-        self.term_signal = (
-            -exitcode if exitcode is not None and exitcode < 0 else None
-        )
-        self.heartbeat_age = heartbeat_age
-        detail = f"worker {reason}"
-        if self.term_signal is not None:
-            detail += f" (signal {self.term_signal})"
-        elif exitcode is not None:
-            detail += f" (exit code {exitcode})"
-        detail += f"; last heartbeat {heartbeat_age:.1f}s ago"
-        super().__init__(detail)
-
 
 class WorkerJobError(Exception):
     """The job itself failed inside the worker (the worker survived).
@@ -135,48 +88,6 @@ class WorkerJobError(Exception):
         super().__init__(message)
         self.error_name = error_name
         self.permanent = permanent
-
-
-class AttemptHandle:
-    """The supervisor's view of one in-flight child attempt.
-
-    Duck-types the one :class:`Checkpointer` method the queue's drain
-    loop uses (:meth:`request_preempt`), so ``job.current_ck`` keeps
-    working unchanged: a preempt request is forwarded to the child as
-    SIGTERM once it reports ready.
-    """
-
-    def __init__(self, proc: multiprocessing.process.BaseProcess, hb: Any) -> None:
-        self.proc = proc
-        self.hb = hb
-        self.ready = False
-        self.preempt_requested = False
-        self.signalled = False
-
-    def request_preempt(self) -> None:
-        """Signal-handler-safe: only sets a flag; the supervision loop
-        forwards SIGTERM (repeat calls are idempotent)."""
-        self.preempt_requested = True
-
-    def alive(self) -> bool:
-        """Whether the child's pid still exists; safe from any thread.
-
-        Only the supervisor thread may poll or join ``proc``: a forked
-        child's exit code is read once from the template's pipe, and a
-        second reader would get EOF and record exit code 255 instead.
-        """
-        pid = self.proc.pid
-        return pid is not None and template.alive(pid)
-
-    def heartbeat_age(self) -> float:
-        """Seconds since the child's last stamp, on the shared monotonic
-        clock — immune to wall-clock (NTP) steps in either direction."""
-        return max(0.0, time.monotonic() - self.hb[_HB_MONO])
-
-    def heartbeat_wall(self) -> float:
-        """The wall-clock time of the last stamp — diagnostics only,
-        never used for lease-expiry decisions."""
-        return self.hb[_HB_WALL]
 
 
 class WorkerPool:
@@ -249,98 +160,43 @@ class WorkerPool:
         (``job.partial``/counters updated from ``cell_done`` messages),
         raises :class:`PreemptedError` on checkpoint-and-stop,
         :class:`WorkerJobError` for child-side job failures, and
-        :class:`WorkerDied` when the child vanished or lost its lease.
+        :class:`WorkerDied` when the child vanished, lost its lease or
+        outlived its budget by :data:`HARD_TIMEOUT_GRACE`.
         """
-        ctx = multiprocessing.get_context("forkserver")
-        recv, send = ctx.Pipe(duplex=False)
-        # [monotonic, wall]: CLOCK_MONOTONIC is per-boot, so parent and
-        # child (same host by construction) read the same timeline.
-        hb = ctx.Array("d", [time.monotonic(), time.time()], lock=False)
-        payload = self._payload(job, budget)
-        proc = ctx.Process(
-            target=_attempt_main, args=(send, hb, payload),
-            name=f"repro-worker-{job.id}-a{job.attempts}", daemon=True,
-        )
-        handle = AttemptHandle(proc, hb)
-        with self._lock:
-            self.spawned += 1
-            self._attempts[job.id] = handle
-        job.current_ck = handle
-        template.fork_attempt(proc)
-        send.close()  # child holds the only write end: EOF tracks its death
-        start = time.monotonic()
-        hard_deadline = (
-            None if budget is None else start + budget + HARD_TIMEOUT_GRACE
-        )
-        terminal: tuple | None = None
+
+        def register(handle: AttemptHandle) -> None:
+            with self._lock:
+                self.spawned += 1
+                self._attempts[job.id] = handle
+            job.current_ck = handle
+
         try:
-            while terminal is None:
-                if handle.preempt_requested and handle.ready and not handle.signalled:
-                    handle.signalled = True
-                    _signal(proc, signal.SIGTERM)
-                got = recv.poll(0.05)
-                if got:
-                    try:
-                        msg = recv.recv()
-                    except (EOFError, OSError):
-                        break
-                    terminal = self._handle_message(job, handle, msg, on_simulated)
-                    continue
-                age = handle.heartbeat_age()
-                if hard_deadline is not None and time.monotonic() >= hard_deadline:
-                    _hard_kill(proc)
-                    raise WorkerDied(
-                        "hard-timeout", exitcode=proc.exitcode, heartbeat_age=age
-                    )
-                if age > self.lease_timeout:
-                    with self._lock:
-                        self.lease_expired += 1
-                    _hard_kill(proc)
-                    raise WorkerDied(
-                        "lease-expired", exitcode=proc.exitcode, heartbeat_age=age
-                    )
-                if not proc.is_alive():
-                    while recv.poll(0):  # drain what the child flushed dying
-                        try:
-                            msg = recv.recv()
-                        except (EOFError, OSError):
-                            break
-                        terminal = self._handle_message(
-                            job, handle, msg, on_simulated
-                        )
-                        if terminal is not None:
-                            break
-                    break
-            if terminal is None:
-                proc.join(timeout=5.0)
-                raise WorkerDied(
-                    "crashed",
-                    exitcode=proc.exitcode,
-                    heartbeat_age=handle.heartbeat_age(),
-                )
+            handle = template.launch(
+                _run_cells, self._payload(job),
+                name=f"repro-worker-{job.id}-a{job.attempts}", before=register,
+            )
+            verdict = handle.supervise(
+                lambda msg: self._handle_message(job, msg, on_simulated),
+                budget=budget, grace=HARD_TIMEOUT_GRACE,
+                lease_timeout=self.lease_timeout,
+            )
+        except WorkerDied as died:
+            if died.reason == "lease-expired":
+                with self._lock:
+                    self.lease_expired += 1
+            raise
         finally:
             job.current_ck = None
             with self._lock:
                 self._attempts.pop(job.id, None)
-            if proc.is_alive():
-                _hard_kill(proc)
-            proc.join(timeout=5.0)
-            template.forget_attempt(proc)
-            recv.close()
-        kind = terminal[0]
-        if kind == "ok":
-            with self._lock:
-                self.completions += 1
-            return
-        if kind == "preempted":
-            raise PreemptedError(Path(terminal[1]), terminal[2])
-        if kind == "error":
-            raise WorkerJobError(terminal[1], terminal[2], terminal[3])
-        raise WorkerDied(  # unknown terminal: treat as protocol corruption
-            "crashed", exitcode=proc.exitcode, heartbeat_age=handle.heartbeat_age()
-        )
+        if verdict[0] == "preempted":
+            raise PreemptedError(Path(verdict[1]), verdict[2])
+        if verdict[0] == "error":
+            raise WorkerJobError(verdict[1], verdict[2], verdict[4])
+        with self._lock:
+            self.completions += 1
 
-    def _payload(self, job: Any, budget: float | None) -> dict[str, Any]:
+    def _payload(self, job: Any) -> dict[str, Any]:
         done = set(job.partial)
         remaining = [
             [wl, pol] for wl, pol in job.spec.cells()
@@ -359,44 +215,38 @@ class WorkerPool:
                 "epoch": claim.epoch,
             }
         return {
-            "spec": job.spec.to_dict(),
             "label": job.spec.label,
             "attempt": job.attempts,
+            "start_sites": (
+                "worker.start.crash", "queue.attempt.slow", "queue.attempt.crash",
+            ),
+            "checkpoints": True,
+            "spec": job.spec.to_dict(),
             "cells": remaining,
-            "budget": budget,
             "checkpoint_every": self.checkpoint_every,
             "spool": self.spool,
             "cache_dir": self.cache_dir,
             "mem_limit_mb": self.mem_limit_mb,
-            "parent_pid": os.getpid(),
-            "failpoints": failpoints.active_spec(),
             "fleet": fleet,
         }
 
     def _handle_message(
         self,
         job: Any,
-        handle: AttemptHandle,
         msg: tuple,
         on_simulated: Callable[[], None] | None,
-    ) -> tuple | None:
-        """Apply one child message to the job record; return terminal msgs."""
+    ) -> None:
+        """Apply one streamed child message to the job record."""
         kind = msg[0]
-        if kind == "ready":
-            handle.ready = True
-            return None
         if kind == "event":
             job.events.append(msg[1])
-            return None
-        if kind == "snapshot_discarded":
+        elif kind == "snapshot_discarded":
             job.events.append({"kind": "snapshot_discarded", "cell": msg[1]})
-            return None
-        if kind == "fleet_fenced":
+        elif kind == "fleet_fenced":
             job.events.append({"kind": "fleet_fenced", "cell": msg[1]})
             if self.on_fenced is not None:
                 self.on_fenced()
-            return None
-        if kind == "cell_done":
+        elif kind == "cell_done":
             _, cell, result, cache_hit, resumed = msg
             job.partial[cell] = result
             job.cells_done += 1
@@ -411,8 +261,6 @@ class WorkerPool:
             job.events.append(
                 {"kind": "cell_done", "cell": cell, "cache_hit": cache_hit}
             )
-            return None
-        return msg  # ok / preempted / error settle the attempt
 
     # ------------------------------------------------------------------
     # health accounting
@@ -465,7 +313,7 @@ class WorkerPool:
             handles = list(self._attempts.values())
         killed = [h for h in handles if h.alive()]
         for handle in killed:
-            _signal(handle.proc, signal.SIGKILL)
+            handle.kill()
         deadline = time.monotonic() + 5.0
         while any(h.alive() for h in killed) and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -491,45 +339,15 @@ class WorkerPool:
             }
 
 
-def _signal(proc: multiprocessing.process.BaseProcess, sig: int) -> None:
-    try:
-        if proc.pid is not None:
-            os.kill(proc.pid, sig)
-    except (ProcessLookupError, OSError):
-        pass
-
-
-def _hard_kill(proc: multiprocessing.process.BaseProcess) -> None:
-    try:
-        proc.kill()
-    except (ValueError, OSError):  # already reaped
-        pass
-
-
 # ---------------------------------------------------------------------------
-# child side
+# child side: the body of every service attempt
 # ---------------------------------------------------------------------------
 
 
-def _safe_send(conn: Any, msg: tuple) -> None:
-    """Send, swallowing a vanished parent — the child finishes its atomic
-    cache/spool writes either way, and those are what resume reads."""
-    try:
-        conn.send(msg)
-    except (BrokenPipeError, OSError):
-        pass
-
-
-def _attempt_main(conn: Any, hb: Any, payload: dict[str, Any]) -> None:
-    """Child entry point: run the attempt's remaining cells, stream progress.
-
-    Ordering here is the crash-safety contract: the template prologue
-    (PDEATHSIG, a dead server's exit 98, failpoints) and the rlimit first,
-    so even an early wreck is contained, then signal handlers, then the
-    ``ready`` message — only after which the parent will forward SIGTERM.
-    """
-    template.attempt_prologue(payload["parent_pid"], payload["failpoints"])
-    if payload.get("mem_limit_mb"):
+def _run_cells(attempt: template.Attempt) -> None:
+    """Run the attempt's remaining cells, streaming each result."""
+    payload = attempt.payload
+    if payload["mem_limit_mb"]:
         try:
             import resource
 
@@ -537,52 +355,6 @@ def _attempt_main(conn: Any, hb: Any, payload: dict[str, Any]) -> None:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         except (ImportError, ValueError, OSError):
             pass
-
-    # The current cell's checkpointer, shared with the SIGTERM handler.
-    holder: dict[str, Any] = {"ck": None, "preempt": False}
-
-    def _on_term(signum: int, frame: Any) -> None:
-        holder["preempt"] = True
-        ck = holder["ck"]
-        if ck is not None:
-            ck.request_preempt()
-
-    signal.signal(signal.SIGTERM, _on_term)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _stamp(hb)
-    _safe_send(conn, ("ready",))
-    fctx = {"job": payload["label"], "attempt": payload["attempt"]}
-    try:
-        failpoints.fire("worker.start.crash", **fctx)
-        failpoints.fire("queue.attempt.slow", **fctx)
-        failpoints.fire("queue.attempt.crash", **fctx)
-        _run_cells(conn, hb, holder, payload, fctx)
-    except PreemptedError as exc:
-        _safe_send(conn, ("preempted", str(exc.path), exc.tasks_completed))
-        conn.close()
-        os._exit(75)  # EX_TEMPFAIL, same as the server's drain exit
-    except BaseException as exc:  # noqa: BLE001 - classified by the parent
-        from repro.experiments.harness import PERMANENT_ERRORS
-
-        _safe_send(
-            conn,
-            ("error", type(exc).__name__, str(exc),
-             isinstance(exc, PERMANENT_ERRORS)),
-        )
-        conn.close()
-        os._exit(1)
-    _safe_send(conn, ("ok",))
-    conn.close()
-    os._exit(0)
-
-
-def _run_cells(
-    conn: Any, hb: Any, holder: dict[str, Any], payload: dict[str, Any],
-    fctx: dict[str, Any],
-) -> None:
-    # Heavy imports happen here, after ready (a forked child finds them
-    # already loaded): the budget deadline below is computed after them,
-    # so a short time slice buys simulation, not interpreter startup.
     from repro.service.cache import ResultCache, request_key
     from repro.service.queue import spec_from_dict
 
@@ -599,104 +371,50 @@ def _run_cells(
         if payload.get("cache_dir") else None
     )
     spool = Path(payload["spool"])
-    budget = payload["budget"]
-    deadline = time.monotonic() + budget if budget is not None else None
     for wl, pol in payload["cells"]:
         cell = f"{wl}/{pol}"
-        _stamp(hb)
+        attempt.stamp()
         key = request_key(cfg, wl, pol, spec.seed)
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
-            _safe_send(conn, ("cell_done", cell, cached, True, None))
+            attempt.send(("cell_done", cell, cached, True, None))
             continue
-        result, resumed = _simulate(
-            conn, hb, holder, payload, fctx, cfg, spec, wl, pol, key,
-            spool, cache, deadline,
-        )
-        _safe_send(conn, ("cell_done", cell, result, False, resumed))
-
-
-class _WorkerCheckpointer(Checkpointer):
-    """Checkpointer that also stamps the heartbeat lease and evaluates
-    worker-scoped failpoints at every live dispatch boundary."""
-
-    def __init__(self, *args: Any, hb: Any = None,
-                 fctx: dict[str, Any] | None = None, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._hb = hb
-        self._fctx = fctx or {}
-        # Activation is fixed for the child's lifetime; cache the check so
-        # the uninjected hot path pays one attribute test per dispatch.
-        self._fp_active = failpoints.get().active
-
-    def after_dispatch(self, executor: Any, name: str, duration: int) -> None:
-        if self._hb is not None:
-            _stamp(self._hb)
-        if self._fp_active:
-            ctx = dict(self._fctx, task=executor.machine.tasks_completed)
-            failpoints.fire("worker.crash", **ctx)
-            failpoints.fire("worker.hang", **ctx)
-            failpoints.fire("worker.oom", **ctx)
-        super().after_dispatch(executor, name, duration)
+        result, resumed = _simulate(attempt, cfg, spec, wl, pol, key, spool, cache)
+        attempt.send(("cell_done", cell, result, False, resumed))
 
 
 def _simulate(
-    conn: Any, hb: Any, holder: dict[str, Any], payload: dict[str, Any],
-    fctx: dict[str, Any], cfg: Any, spec: Any, wl: str, pol: str, key: str,
-    spool: Path, cache: Any, deadline: float | None,
+    attempt: template.Attempt, cfg: Any, spec: Any, wl: str, pol: str,
+    key: str, spool: Path, cache: Any,
 ) -> tuple[dict[str, Any], int | None]:
     from repro.api import Session
     from repro.obs.observer import Observer
     from repro.obs.stream import CallbackSink
-    from repro.snapshot import SnapshotMismatchError, load_or_quarantine
 
     snap_path = spool / f"{key}.snap"
 
-    def make_ck() -> _WorkerCheckpointer:
-        ck = _WorkerCheckpointer(
-            snap_path, every=payload["checkpoint_every"], deadline=deadline,
-            hb=hb, fctx=fctx,
+    def run(resume_from: Path | None) -> Any:
+        ck = attempt.checkpointer(
+            snap_path, every=attempt.payload["checkpoint_every"]
         )
-        holder["ck"] = ck
-        if holder["preempt"]:  # SIGTERM landed before this cell started
-            ck.request_preempt()
-        return ck
-
-    def make_observer() -> Any:
-        return Observer(
-            sink=CallbackSink(lambda evt: _safe_send(conn, ("event", evt))),
+        observer = Observer(
+            sink=CallbackSink(lambda evt: attempt.send(("event", evt))),
             timeline=False,
         )
-
-    ck = make_ck()
-    resume_from = None
-    if snap_path.is_file() and load_or_quarantine(snap_path) is not None:
-        resume_from = snap_path
-    session = Session(cfg, seed=spec.seed)
-    try:
-        rr = session.run(
-            wl, pol, trace=make_observer(), checkpoint=ck,
-            resume_from=resume_from,
+        return Session(cfg, seed=spec.seed).run(
+            wl, pol, trace=observer, checkpoint=ck, resume_from=resume_from,
         )
-    except SnapshotMismatchError:
-        if resume_from is None:
-            raise
-        # The spool snapshot belongs to some other identity (stale key
-        # collision, older build): quarantine it and run fresh.
-        try:
-            os.replace(snap_path, str(snap_path) + ".corrupt")
-        except OSError:
-            pass
-        _safe_send(conn, ("snapshot_discarded", f"{wl}/{pol}"))
-        ck = make_ck()
-        session = Session(cfg, seed=spec.seed)
-        rr = session.run(wl, pol, trace=make_observer(), checkpoint=ck)
-    finally:
-        holder["ck"] = None
+
+    # A spool snapshot of some other identity (stale key collision, older
+    # build) is quarantined and the cell runs fresh.
+    rr = template.resume_or_fresh(
+        run, snap_path,
+        on_discard=lambda: attempt.send(("snapshot_discarded", f"{wl}/{pol}")),
+    )
     result = rr.stats_dict()
     resumed = rr.experiment.extra.get("resumed_from_task")
     if cache is not None:
-        fleet = payload.get("fleet")
+        fleet = attempt.payload.get("fleet")
         fence = None
         if fleet is not None:
             from repro.service.fleet import claim_matches
@@ -720,7 +438,7 @@ def _simulate(
         if cache.fleet_fenced > fenced_before:
             # Fenced: a peer owns this job now.  Leave the shared spool
             # snapshot alone — it is the new owner's resume point.
-            _safe_send(conn, ("fleet_fenced", f"{wl}/{pol}"))
+            attempt.send(("fleet_fenced", f"{wl}/{pol}"))
             return result, resumed
     try:
         snap_path.unlink()

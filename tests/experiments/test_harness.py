@@ -32,11 +32,11 @@ from repro.experiments.harness import (
     SweepOutcome,
     config_fingerprint,
     load_manifest,
-    retry_delay,
     run_sweep,
 )
 from repro.failpoints import FAILPOINTS_ENV
 from repro.ioutils import atomic_write
+from repro.template import retry_delay
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 

@@ -194,6 +194,29 @@ class TestQuarantine:
         for key, d in by_key.items():
             assert _strip_resume_marker(d) == reference[key]
 
+    def test_snapshot_of_another_job_is_quarantined_and_the_job_reruns(
+        self, tmp_path
+    ):
+        reference = _reference_results()
+        run_dir = tmp_path / "run"
+        first = run_sweep(
+            JOBS, _cfg(), run_dir=run_dir, preempt_after_tasks=5
+        )
+        assert len(first.preempted) == len(JOBS)
+        snaps = run_dir / SNAPSHOT_DIR
+        victim = snaps / "kmeans__tdnuca__s0.snap"
+        victim.write_bytes((snaps / "kmeans__snuca__s0.snap").read_bytes())
+
+        second = run_sweep(JOBS, _cfg(), run_dir=run_dir, resume=True)
+        assert second.ok == len(JOBS) and not second.failures
+        assert victim.with_name(victim.name + ".corrupt").exists()
+        by_key = {(r.workload, r.policy): r.result_dict()
+                  for r in second.completed}
+        assert "resumed_from_task" not in by_key[("kmeans", "tdnuca")]
+        assert by_key[("kmeans", "snuca")]["resumed_from_task"] == 5
+        for key, d in by_key.items():
+            assert _strip_resume_marker(d) == reference[key]
+
 
 class TestSchemaCompat:
     def test_schema_v3_ok_shard_still_loads(self, tmp_path):

@@ -99,16 +99,16 @@ class TestForkedLaunch:
     def test_each_attempt_is_a_fresh_process_with_import_time_state(
         self, tmp_path, monkeypatch
     ):
-        import repro.service.workers as workers_mod
+        from repro import template
 
         procs = []
 
-        class Recording(workers_mod.AttemptHandle):
-            def __init__(self, proc, hb):
-                super().__init__(proc, hb)
+        class Recording(template.AttemptHandle):
+            def __init__(self, proc, *args):
+                super().__init__(proc, *args)
                 procs.append(proc)
 
-        monkeypatch.setattr(workers_mod, "AttemptHandle", Recording)
+        monkeypatch.setattr(template, "AttemptHandle", Recording)
         pool = WorkerPool(1, spool=tmp_path)
         job = Job(id="j", spec=RunSpec("md5", "tdnuca", scale=SCALE))
         # Attempt 1 installs, in its own failpoint registry, a crash that
@@ -135,7 +135,7 @@ class TestForkedLaunch:
         payload = pool._payload
         monkeypatch.setattr(
             pool, "_payload",
-            lambda job, budget: {**payload(job, budget), "parent_pid": gone.pid},
+            lambda job: {**payload(job), "parent_pid": gone.pid},
         )
         job = Job(id="j", spec=RunSpec("md5", "tdnuca", scale=SCALE))
         job.attempts = 1
@@ -377,12 +377,7 @@ class TestMonotonicHeartbeats:
     in either direction cannot make a healthy worker look dead."""
 
     def test_heartbeat_age_ignores_wall_clock_steps(self):
-        from repro.service.workers import (
-            _HB_MONO,
-            _HB_WALL,
-            _stamp,
-            AttemptHandle,
-        )
+        from repro.template import _HB_MONO, _HB_WALL, AttemptHandle, _stamp
 
         hb = [0.0, 0.0]
         _stamp(hb)
@@ -396,7 +391,7 @@ class TestMonotonicHeartbeats:
         assert 41.0 < handle.heartbeat_age() < 44.0
 
     def test_stamp_fills_both_slots(self):
-        from repro.service.workers import _HB_MONO, _HB_WALL, _stamp
+        from repro.template import _HB_MONO, _HB_WALL, _stamp
 
         hb = [0.0, 0.0]
         before_wall = time.time()

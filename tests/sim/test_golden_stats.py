@@ -10,7 +10,8 @@ derived float.
 Every case runs under *each* simulation kernel against the same
 snapshot: the suite doubles as the cross-kernel equivalence gate (the
 vector backend's fused engine must produce byte-identical
-MachineStats, DESIGN.md §13).
+MachineStats, DESIGN.md §13).  Every leg also checks the accounting
+identities of :mod:`tests.accounting`.
 
 Regenerate snapshots only for intentional modelling changes:
 ``PYTHONPATH=src python scripts/update_golden_stats.py``.
@@ -25,6 +26,7 @@ import pytest
 
 from repro.experiments.golden import GOLDEN_CASES, run_case
 from repro.sim.kernels import KERNEL_ENV
+from tests.accounting import check_accounting
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -66,3 +68,4 @@ def test_stats_match_golden_snapshot(case, kernel, monkeypatch):
         f"{case.case_id} [{kernel}]: {len(diffs)} statistic(s) drifted from "
         "the golden snapshot:\n  " + "\n  ".join(diffs)
     )
+    check_accounting(actual)

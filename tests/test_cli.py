@@ -338,6 +338,39 @@ class TestCommands:
         assert failure["error"] == "Timeout" and failure["timed_out"]
         assert failure["attempts"] == 2
 
+    def test_sweep_resume_continues_a_timed_out_job_from_its_snapshot(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The timed-out job's last attempt leaves its snapshot next to a
+        # failed shard; --resume must continue from it, not from task 0.
+        # The hold keeps gauss/tdnuca unfinished after two 1.5 s attempts
+        # on any host, as in the test above.
+        from repro.config import scaled_config
+        from repro.experiments.harness import Job, run_sweep
+
+        monkeypatch.setenv(
+            "REPRO_FAILPOINTS",
+            "harness.worker.slow=*@job:gauss/tdnuca@param:1.0",
+        )
+        out = tmp_path / "out.json"
+        rc = main([
+            "sweep", "--scale", "1024", "--workloads", "gauss", "md5",
+            "--policies", "tdnuca", "--jobs", "2", "--timeout", "1.5",
+            "--retries", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        run_dir = tmp_path / "out.json.d"
+        assert (run_dir / "snapshots" / "gauss__tdnuca__s0.snap").is_file()
+        monkeypatch.delenv("REPRO_FAILPOINTS")
+
+        assert main(["sweep", "--resume", str(run_dir)]) == 0
+        resumed = json.loads(out.read_text())["runs"]["gauss/tdnuca"]
+        assert resumed.pop("resumed_from_task") > 0
+        reference = run_sweep(
+            [Job("gauss", "tdnuca")], scaled_config(1 / 1024)
+        ).result_dicts()[("gauss", "tdnuca")]
+        assert resumed == reference
+
     def test_compare_reports_schema_mismatch(self, tmp_path, capsys):
         versioned = tmp_path / "new.json"
         versioned.write_text(
