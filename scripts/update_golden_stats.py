@@ -2,7 +2,8 @@
 """Regenerate the golden stats-equivalence snapshots under tests/golden/.
 
 The snapshots pin the exact ``MachineStats`` of every (workload, policy,
-fault-spec) case in :data:`repro.experiments.golden.GOLDEN_CASES`; the
+fault-spec) case in :data:`repro.experiments.golden.GOLDEN_CASES` and
+:data:`~repro.experiments.golden.PAPER_GOLDEN_CASES`; the
 test suite replays the cases and demands byte-identical statistics, so
 hot-path optimizations cannot silently change what the simulator models.
 
@@ -21,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments.golden import GOLDEN_CASES, run_case
+from repro.experiments.golden import GOLDEN_CASES, PAPER_GOLDEN_CASES, run_case
 from repro.ioutils import atomic_write
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
@@ -30,11 +31,12 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 def main(argv: list[str]) -> int:
     only = set(argv)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    unknown = only - {c.case_id for c in GOLDEN_CASES}
+    cases = GOLDEN_CASES + PAPER_GOLDEN_CASES
+    unknown = only - {c.case_id for c in cases}
     if unknown:
         print(f"unknown case ids: {sorted(unknown)}", file=sys.stderr)
         return 2
-    for case in GOLDEN_CASES:
+    for case in cases:
         if only and case.case_id not in only:
             continue
         t0 = time.perf_counter()

@@ -22,7 +22,14 @@ from typing import Any
 
 from repro.config import SystemConfig, scaled_config
 
-__all__ = ["GOLDEN_SCALE", "GOLDEN_CASES", "GoldenCase", "canonical_stats", "run_case"]
+__all__ = [
+    "GOLDEN_SCALE",
+    "GOLDEN_CASES",
+    "PAPER_GOLDEN_CASES",
+    "GoldenCase",
+    "canonical_stats",
+    "run_case",
+]
 
 #: scale the snapshots run at — small enough that the whole matrix stays
 #: test-suite friendly, large enough that every path (evictions, flushes,
@@ -96,6 +103,15 @@ GOLDEN_CASES: tuple[GoldenCase, ...] = tuple(
     # both kernels so scale-out never drifts from the reference model.
     GoldenCase("kmeans", "tdnuca", mesh=(8, 8)),
     GoldenCase("jacobi", "snuca", mesh=(8, 8)),
+)
+
+#: The remaining Table-II benchmarks under TD-NUCA, the cells whose
+#: runtime path (register/invalidate/flush walks) is the busiest.  Only the
+#: stats-equivalence suite replays them: gauss/tdnuca alone takes seconds a
+#: run, too slow for the chaos and resume suites that iterate
+#: :data:`GOLDEN_CASES`.
+PAPER_GOLDEN_CASES: tuple[GoldenCase, ...] = tuple(
+    GoldenCase(wl, "tdnuca") for wl in ("gauss", "knn", "lu", "md5", "redblack")
 )
 
 

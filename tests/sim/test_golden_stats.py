@@ -1,7 +1,7 @@
 """Golden stats-equivalence suite.
 
 Replays every case in :data:`repro.experiments.golden.GOLDEN_CASES` and
-compares the full canonical ``MachineStats`` snapshot against the
+:data:`~repro.experiments.golden.PAPER_GOLDEN_CASES` and compares the full canonical ``MachineStats`` snapshot against the
 committed JSON under tests/golden/.  Equality is *exact* — hot-path
 optimizations (batched counters, allocation-free probes, precomputed
 geometry) must be statistically invisible down to the last counter and
@@ -24,13 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.golden import GOLDEN_CASES, run_case
+from repro.experiments.golden import GOLDEN_CASES, PAPER_GOLDEN_CASES, run_case
 from repro.sim.kernels import KERNEL_ENV
 from tests.accounting import check_accounting
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 KERNELS = ("reference", "vector")
+CASES = GOLDEN_CASES + PAPER_GOLDEN_CASES
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -42,9 +43,7 @@ def _flatten(prefix: str, value, out: dict) -> None:
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize(
-    "case", GOLDEN_CASES, ids=[c.case_id for c in GOLDEN_CASES]
-)
+@pytest.mark.parametrize("case", CASES, ids=[c.case_id for c in CASES])
 def test_stats_match_golden_snapshot(case, kernel, monkeypatch):
     monkeypatch.delenv(KERNEL_ENV, raising=False)
     path = GOLDEN_DIR / f"{case.case_id}.json"
