@@ -180,6 +180,9 @@ class CoherenceDirectory:
         or flush); returns cores whose L1s must be invalidated."""
         mask = self._sharers.pop(block, 0)
         self._owner.pop(block, None)
-        cores = [c for c in range(self.num_cores) if mask >> c & 1]
+        if mask & (mask - 1) or mask >> self.num_cores:
+            cores = [c for c in range(self.num_cores) if mask >> c & 1]
+        else:  # at most one sharer, the common case
+            cores = [mask.bit_length() - 1] if mask else []
         self.stats.invalidations_sent += len(cores)
         return cores

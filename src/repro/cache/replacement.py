@@ -75,31 +75,43 @@ _PLRU_TABLES: dict[int, tuple[list[int], list[int], list[int] | None]] = {}
 _VICTIM_TABLE_MAX_ASSOC = 16
 
 
+def _victim_table(assoc: int) -> list[int]:
+    """LRU way for every packed bit pattern, built a tree level at a time.
+
+    Node bits are packed in heap order, so the nodes of each level sit
+    above the bits of every level before it.  A table over the upper
+    levels maps each of their patterns to the node reached on the next
+    level; adding that level's ``width`` bits copies, for every such
+    pattern, the column of outcomes of the one node it reaches.  The
+    2^(assoc-1) entries are filled by slice assignment rather than one
+    walk per pattern (same result as :func:`_victim_for_bits`).
+    """
+    table = [0]  # no bits yet: every pattern is at the root
+    width = 1  # nodes on the level being added
+    while width < assoc:
+        # Reaching node p of this level, go right (to 2p+1) iff its bit is set.
+        cols = [
+            [2 * p + (high >> p & 1) for high in range(1 << width)]
+            for p in range(width)
+        ]
+        step = len(table)
+        grown = [0] * (step << width)
+        for low, p in enumerate(table):
+            grown[low::step] = cols[p]
+        table = grown
+        width *= 2
+    return table
+
+
 def _plru_tables(assoc: int) -> tuple[list[int], list[int], list[int] | None]:
     tables = _PLRU_TABLES.get(assoc)
     if tables is None:
         masks = [_touch_masks(assoc, way) for way in range(assoc)]
         or_masks = [m[0] for m in masks]
         and_masks = [m[1] for m in masks]
-        victim_table = None
-        if assoc <= _VICTIM_TABLE_MAX_ASSOC:
-            # Inline walk (same as _victim_for_bits): building the 2^(a-1)
-            # entries must not cost 2^(a-1) profiled function calls.
-            levels = assoc.bit_length() - 1
-            victim_table = []
-            append = victim_table.append
-            for bits in range(1 << max(0, assoc - 1)):
-                node = 0
-                way = 0
-                half = assoc >> 1
-                for _ in range(levels):
-                    if bits >> node & 1:
-                        node = 2 * node + 2
-                        way += half
-                    else:
-                        node = 2 * node + 1
-                    half >>= 1
-                append(way)
+        victim_table = (
+            _victim_table(assoc) if assoc <= _VICTIM_TABLE_MAX_ASSOC else None
+        )
         tables = (or_masks, and_masks, victim_table)
         _PLRU_TABLES[assoc] = tables
     return tables

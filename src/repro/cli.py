@@ -189,8 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="check machine invariants after every task in every run",
     )
+    # --jobs, --timeout, --retries and --checkpoint-every default to None
+    # so --resume can tell a flag given now from one recorded in the
+    # manifest; cmd_sweep applies the documented defaults.
     p_sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=int, default=None, metavar="N",
         help="parallel worker processes (N>1 isolates each run; default 1)",
     )
     p_sweep.add_argument(
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resuming from the snapshot it leaves",
     )
     p_sweep.add_argument(
-        "--retries", type=int, default=1, metavar="N",
+        "--retries", type=int, default=None, metavar="N",
         help="retries per job for transient failures (default 1)",
     )
     p_sweep.add_argument(
@@ -211,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--resume", default=None, metavar="DIR",
         help="resume the sweep checkpointed in DIR: skip finished shards, "
-        "re-run only failed/missing jobs, then merge",
+        "re-run only failed/missing jobs, then merge; --jobs, --timeout, "
+        "--retries, --checkpoint-every and --out default to the values the "
+        "sweep recorded",
     )
     p_sweep.add_argument(
         "--trace", default=None, metavar="DIR",
@@ -219,13 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(workload, policy) into DIR",
     )
     p_sweep.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
-        help="periodic per-job snapshots every N completed tasks",
+        "--checkpoint-every", type=int, default=None, metavar="N",
+        help="periodic per-job snapshots every N completed tasks "
+        "(default 0: none)",
     )
     p_sweep.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="sweep wall-clock budget: in-flight jobs checkpoint and the "
-        "sweep exits 75, resumable with --resume",
+        help="wall-clock budget of this invocation (never recorded, so a "
+        "--resume runs without one unless given again): in-flight jobs "
+        "checkpoint and the sweep exits 75, resumable with --resume",
     )
 
     p_cmp = sub.add_parser(
@@ -781,6 +788,28 @@ def cmd_figures(args) -> int:
     return 0
 
 
+#: how a sweep runs, recorded in its manifest so ``--resume`` runs it the
+#: same way; the values apply when neither the command line nor the
+#: manifest gives one.
+_SWEEP_EXECUTION_DEFAULTS = {
+    "jobs": 1,
+    "timeout": None,
+    "retries": 1,
+    "checkpoint_every": 0,
+}
+
+
+def _sweep_execution(args, recorded: dict) -> dict:
+    """How the sweep runs: a flag given now wins, then the value the sweep
+    recorded (manifests written before these were recorded have none),
+    then the default."""
+    return {
+        name: getattr(args, name) if getattr(args, name) is not None
+        else recorded.get(name, default)
+        for name, default in _SWEEP_EXECUTION_DEFAULTS.items()
+    }
+
+
 def cmd_sweep(args) -> int:
     from repro.experiments import harness
     from repro.experiments.serialize import sweep_to_json
@@ -816,6 +845,7 @@ def cmd_sweep(args) -> int:
             return 2
         seed = req.get("seed", 0)
         request = req
+        execution = _sweep_execution(args, req)
     else:
         if not args.out:
             print("error: --out is required unless resuming with --resume DIR")
@@ -837,6 +867,7 @@ def cmd_sweep(args) -> int:
         out = args.out
         run_dir = args.run_dir or out + ".d"
         seed = args.seed
+        execution = _sweep_execution(args, {})
         request = {
             "scale": args.scale,
             "workloads": workloads,
@@ -844,7 +875,9 @@ def cmd_sweep(args) -> int:
             "seed": args.seed,
             "faults": args.faults,
             "strict": args.strict,
-            "out": out,
+            # absolute, so a --resume from another directory writes here
+            "out": os.path.abspath(out),
+            **execution,
         }
         if args.mesh:
             request["mesh"] = list(args.mesh)
@@ -868,15 +901,15 @@ def cmd_sweep(args) -> int:
     session = Session(cfg)
     outcome = session.sweep(
         plan=jobs,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        retries=args.retries,
+        jobs=execution["jobs"],
+        timeout=execution["timeout"],
+        retries=execution["retries"],
         run_dir=run_dir,
         resume=bool(args.resume),
         request=request,
         on_event=on_event,
         trace_dir=args.trace,
-        checkpoint_every=args.checkpoint_every,
+        checkpoint_every=execution["checkpoint_every"],
         deadline=args.deadline,
     )
     meta = {

@@ -18,20 +18,31 @@ with one bit per core on which the runtime polls.
 
 All instruction latencies are modelled in cycles and surfaced in
 :class:`ISAStats` for the Section V-E overhead studies.
+
+A runtime hook issues up to four instructions for one dependency, back to
+back on one core.  They share a :class:`DependencyWalk`: the first walks
+the pages through the TLB, the rest reuse its trimmed bounds, ranges and
+blocks and are credited the TLB outcome a repeated walk would have had.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.config import LatencyConfig
-from repro.core.rrt import RRT
+from repro.core.rrt import RRT, decode_bank_mask
 from repro.mem.address import AddressMap
 from repro.mem.region import Region
 from repro.mem.tlb import TLB
 
-__all__ = ["TdNucaISA", "ISAStats", "FlushCompletionRegister", "FlushOutcome"]
+__all__ = [
+    "DependencyWalk",
+    "TdNucaISA",
+    "ISAStats",
+    "FlushCompletionRegister",
+    "FlushOutcome",
+]
 
 
 class FlushCompletionRegister:
@@ -95,8 +106,7 @@ class ISAStats:
         return self.register_cycles + self.invalidate_cycles + self.flush_cycles
 
 
-@dataclass(frozen=True)
-class FlushOutcome:
+class FlushOutcome(NamedTuple):
     cycles: int
     flushed: int
     dirty: int
@@ -105,6 +115,46 @@ class FlushOutcome:
 #: callback the machine installs to actually remove blocks from caches and
 #: account writeback traffic: (blocks, level, tiles) -> (flushed, dirty).
 FlushExecutor = Callable[[list[int], str, tuple[int, ...]], tuple[int, int]]
+
+
+class DependencyWalk:
+    """One dependency's translation, shared by the instructions a runtime
+    hook issues for it on one core.
+
+    The first instruction walks the region's pages through the core's TLB
+    (:meth:`TdNucaISA._walk_tlb`).  The hook's later instructions walk the
+    same pages again, back to back, and nothing touches that TLB in
+    between (trace translation goes to the page table, not the TLB), so
+    their outcome is known without walking: a region of at most
+    ``tlb_entries`` pages hits on every page and leaves the LRU order as it
+    was; a larger one misses on every page and ends in the same order.
+    Every instruction still counts its own TLB accesses and cycles.
+    """
+
+    __slots__ = ("core", "region", "bounds", "ranges", "pages", "_blocks")
+
+    def __init__(self, core: int, region: Region, block_bytes: int) -> None:
+        self.core = core
+        self.region = region
+        # Section III-D: only fully contained cache blocks are managed.
+        lo = (region.start + block_bytes - 1) & -block_bytes
+        hi = (region.start + region.size) & -block_bytes
+        #: trimmed byte bounds ``(lo, hi)``, or None when no whole block fits.
+        self.bounds = (lo, hi) if hi > lo else None
+        #: collapsed physical byte ranges, once the first walk ran.
+        self.ranges: list[tuple[int, int]] | None = None
+        #: pages the walk visits.
+        self.pages = 0
+        self._blocks: list[int] | None = None
+
+    def blocks(self, block_shift: int) -> list[int]:
+        """Physical block numbers of the walked ranges (built once)."""
+        if self._blocks is None:
+            blocks: list[int] = []
+            for start, end in self.ranges:
+                blocks += range(start >> block_shift, ((end - 1) >> block_shift) + 1)
+            self._blocks = blocks
+        return self._blocks
 
 
 class TdNucaISA:
@@ -154,31 +204,50 @@ class TdNucaISA:
 
     # --- shared translation walk (Fig. 5) ---
 
-    def _trim(self, region: Region) -> Region | None:
-        """Clip to fully-contained cache blocks (Section III-D)."""
-        lo = self.amap.align_up_block(region.start)
-        hi = self.amap.align_down_block(region.end)
-        if hi <= lo:
-            return None
-        return Region(lo, hi - lo, region.name)
+    def walk(self, core: int, region: Region) -> DependencyWalk:
+        """A fresh walk of ``region`` on ``core``, to pass to every
+        instruction one hook issues for that dependency."""
+        return DependencyWalk(core, region, self.amap.block_bytes)
 
-    def _translate_ranges(self, core: int, region: Region) -> tuple[list[tuple[int, int]], int]:
-        """Iteratively translate ``region`` via ``core``'s TLB, collapsing
-        contiguous physical pages; returns (ranges, cycles)."""
+    def _translate(
+        self, core: int, region: Region, walk: DependencyWalk | None
+    ) -> tuple[DependencyWalk, int | None]:
+        """One instruction's translation of ``region`` on ``core``: the
+        walk (``walk`` itself when given) and the cycles it costs, or None
+        for the cycles when no whole block of the region can be managed."""
+        if walk is None:
+            walk = self.walk(core, region)
+        elif walk.core != core or (walk.region is not region and walk.region != region):
+            raise ValueError("walk belongs to another core or region")
+        if walk.bounds is None:
+            return walk, None
+        if walk.ranges is None:
+            walk.ranges, walk.pages = self._walk_tlb(core, *walk.bounds)
+        else:
+            # A repeated walk, credited as the TLB would have answered it
+            # (see DependencyWalk).
+            tlb = self.tlbs[core]
+            if walk.pages <= tlb.entries:
+                tlb.stats.hits += walk.pages
+            else:
+                tlb.stats.misses += walk.pages
+        pages = walk.pages
+        self.stats.translation_tlb_accesses += pages
+        return walk, self.ISSUE_CYCLES + pages * self.latency.tlb_lookup
+
+    def _walk_tlb(self, core: int, r_start: int, r_end: int) -> tuple[list[tuple[int, int]], int]:
+        """Iteratively translate bytes ``[r_start, r_end)`` via ``core``'s
+        TLB, collapsing contiguous physical pages; returns (ranges, pages)."""
         tlb = self.tlbs[core]
         amap = self.amap
         ranges: list[tuple[int, int]] = []
         run_start = run_end = None
-        pages = 0
-        # TLB lookup and page-table walk inlined: register/invalidate/flush
-        # instructions sweep every page of a dependency, so this loop runs
-        # tens of thousands of times per workload.  Hit/miss stats are
+        # TLB lookup and page-table walk inlined: this loop runs once per
+        # page of every dependency a hook touches.  Hit/miss stats are
         # batched; LRU order and eviction behave exactly as
         # :meth:`TLB.lookup_page`.
         page_shift = amap.page_shift
         page_mask = amap.page_bytes - 1
-        r_start = region.start
-        r_end = region.end
         tcache = tlb._cache
         tcache_get = tcache.get
         tlb_entries = tlb.entries
@@ -186,7 +255,9 @@ class TdNucaISA:
         pt_map = pt._map
         t_hits = 0
         t_misses = 0
-        for vpage in region.pages(amap):
+        first_page = r_start >> page_shift
+        stop_page = ((r_end - 1) >> page_shift) + 1
+        for vpage in range(first_page, stop_page):
             frame = tcache_get(vpage)
             if frame is not None:
                 t_hits += 1
@@ -200,7 +271,6 @@ class TdNucaISA:
                 tcache[vpage] = frame
                 if len(tcache) > tlb_entries:
                     tcache.popitem(last=False)
-            pages += 1
             pstart = frame << page_shift
             lo = vpage << page_shift
             if lo < r_start:
@@ -221,29 +291,33 @@ class TdNucaISA:
         tst = tlb.stats
         tst.hits += t_hits
         tst.misses += t_misses
-        self.stats.translation_tlb_accesses += pages
-        return ranges, self.ISSUE_CYCLES + pages * self.latency.tlb_lookup
+        return ranges, stop_page - first_page
 
-    @staticmethod
-    def _blocks_of_ranges(amap: AddressMap, ranges: list[tuple[int, int]]) -> list[int]:
-        blocks: list[int] = []
-        for start, end in ranges:
-            blocks.extend(range(start >> amap.block_shift, ((end - 1) >> amap.block_shift) + 1))
-        return blocks
+    def _tiles(self, core_mask: int) -> tuple[int, ...]:
+        """Tiles named by ``core_mask``, ascending."""
+        return decode_bank_mask(core_mask & ((1 << len(self.rrts)) - 1))
 
     # --- the instructions ---
+    #
+    # ``walk`` is the issuing hook's shared walk of ``region`` on ``core``
+    # (:meth:`walk`); without one, the instruction walks on its own.
 
-    def tdnuca_register(self, core: int, region: Region, bank_mask: int) -> int:
+    def tdnuca_register(
+        self,
+        core: int,
+        region: Region,
+        bank_mask: int,
+        walk: DependencyWalk | None = None,
+    ) -> int:
         """Register a dependency in ``core``'s RRT; returns cycles spent."""
         self.stats.registers_executed += 1
-        trimmed = self._trim(region)
-        if trimmed is None:
+        walk, cycles = self._translate(core, region, walk)
+        if cycles is None:
             self.stats.register_cycles += self.ISSUE_CYCLES
             return self.ISSUE_CYCLES
-        ranges, cycles = self._translate_ranges(core, trimmed)
         rrt = self.rrts[core]
         obs = self.obs
-        for start, end in ranges:
+        for start, end in walk.ranges:
             installed = rrt.register(start, end, bank_mask)
             cycles += 1
             if obs is not None:
@@ -254,30 +328,39 @@ class TdNucaISA:
         self.stats.register_cycles += cycles
         return cycles
 
-    def tdnuca_invalidate(self, core: int, region: Region, core_mask: int) -> int:
+    def tdnuca_invalidate(
+        self,
+        core: int,
+        region: Region,
+        core_mask: int,
+        walk: DependencyWalk | None = None,
+    ) -> int:
         """Remove the dependency's RRT entries from the masked cores;
         ``core`` executes the instruction (its TLB does the walk)."""
         self.stats.invalidates_executed += 1
-        trimmed = self._trim(region)
-        if trimmed is None:
+        walk, cycles = self._translate(core, region, walk)
+        if cycles is None:
             self.stats.invalidate_cycles += self.ISSUE_CYCLES
             return self.ISSUE_CYCLES
-        ranges, cycles = self._translate_ranges(core, trimmed)
+        ranges = walk.ranges
         obs = self.obs
-        for target in range(len(self.rrts)):
-            if core_mask >> target & 1:
-                rrt = self.rrts[target]
-                removed = 0
-                for start, end in ranges:
-                    removed += rrt.invalidate(start, end)
-                    cycles += 1
-                if obs is not None and removed:
-                    obs.rrt_evict(target, removed)
+        targets = self._tiles(core_mask)
+        # One cycle per range and target, whether or not it matches.
+        cycles += len(ranges) * len(targets)
+        for target in targets:
+            removed = self.rrts[target].invalidate_ranges(ranges)
+            if obs is not None and removed:
+                obs.rrt_evict(target, removed)
         self.stats.invalidate_cycles += cycles
         return cycles
 
     def tdnuca_flush(
-        self, core: int, region: Region, cache_level: str, core_mask: int
+        self,
+        core: int,
+        region: Region,
+        cache_level: str,
+        core_mask: int,
+        walk: DependencyWalk | None = None,
     ) -> FlushOutcome:
         """Flush the dependency's blocks from the masked tiles' caches.
 
@@ -289,15 +372,13 @@ class TdNucaISA:
         if self.flush_executor is None:
             raise RuntimeError("no flush executor installed")
         self.stats.flushes_executed += 1
-        trimmed = self._trim(region)
-        if trimmed is None:
+        walk, cycles = self._translate(core, region, walk)
+        if cycles is None:
             self.stats.flush_cycles += self.ISSUE_CYCLES
             return FlushOutcome(self.ISSUE_CYCLES, 0, 0)
-        ranges, cycles = self._translate_ranges(core, trimmed)
-        tiles = tuple(t for t in range(len(self.rrts)) if core_mask >> t & 1)
-        blocks = self._blocks_of_ranges(self.amap, ranges)
+        blocks = walk.blocks(self.amap.block_shift)
         self.completion.start(core)
-        flushed, dirty = self.flush_executor(blocks, cache_level, tiles)
+        flushed, dirty = self.flush_executor(blocks, cache_level, self._tiles(core_mask))
         # The runtime polls until the flush transaction drains; charge the
         # per-block invalidation walk to the instruction.
         cycles += flushed * self.FLUSH_CYCLES_PER_BLOCK

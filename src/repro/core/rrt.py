@@ -81,6 +81,8 @@ class RRT:
         self.core = core
         self.capacity = capacity
         self._tables: dict[int, _PidTable] = {}
+        #: valid entries across every PID's table, kept as a running count.
+        self._occupancy = 0
         self._active_pid = 0
         self.stats = RRTStats()
 
@@ -96,14 +98,17 @@ class RRT:
     def drop_pid(self, pid: int) -> int:
         """Remove all entries of a terminated process; returns count."""
         table = self._tables.pop(pid, None)
-        return len(table) if table else 0
+        if not table:
+            return 0
+        self._occupancy -= len(table)
+        return len(table)
 
     # --- occupancy ---
 
     @property
     def occupancy(self) -> int:
         """Total valid entries across all processes (shared capacity)."""
-        return sum(len(t) for t in self._tables.values())
+        return self._occupancy
 
     def entries(self, pid: int | None = None) -> list[RRTEntry]:
         """Snapshot of entries (active PID by default)."""
@@ -143,7 +148,7 @@ class RRT:
             self.stats.registrations += 1
             return True
         self._remove_overlaps(table, start, end)
-        if self.occupancy >= self.capacity:
+        if self._occupancy >= self.capacity:
             self.stats.drops_full += 1
             return False
         j = bisect_right(table.starts, start)
@@ -151,9 +156,9 @@ class RRT:
         table.ends.insert(j, end)
         table.masks.insert(j, bank_mask)
         self.stats.registrations += 1
-        occ = self.occupancy
-        if occ > self.stats.peak_occupancy:
-            self.stats.peak_occupancy = occ
+        self._occupancy += 1
+        if self._occupancy > self.stats.peak_occupancy:
+            self.stats.peak_occupancy = self._occupancy
         return True
 
     def _remove_overlaps(self, table: _PidTable, start: int, end: int) -> None:
@@ -163,6 +168,7 @@ class RRT:
         while i >= 0 and table.ends[i] > start:
             del table.starts[i], table.ends[i], table.masks[i]
             self.stats.invalidations += 1
+            self._occupancy -= 1
             i -= 1
 
     def drop_bank_entries(self, bank: int) -> int:
@@ -182,6 +188,7 @@ class RRT:
                     del table.starts[i], table.ends[i], table.masks[i]
                     dropped += 1
         self.stats.invalidations += dropped
+        self._occupancy -= dropped
         return dropped
 
     def invalidate(self, start: int, end: int) -> int:
@@ -189,13 +196,22 @@ class RRT:
 
         Returns the number of entries removed.
         """
-        if end <= start:
-            return 0
+        return self.invalidate_ranges(((start, end),))
+
+    def invalidate_ranges(self, ranges) -> int:
+        """De-register entries overlapping any ``[start, end)`` of
+        ``ranges`` (active PID), range by range; returns the number of
+        entries removed."""
         table = self._tables.get(self._active_pid)
         if not table:
             return 0
+        starts, ends = table.starts, table.ends
         before = self.stats.invalidations
-        self._remove_overlaps(table, start, end)
+        for start, end in ranges:
+            # The entry starting last before ``end`` overlaps, or none does.
+            i = bisect_left(starts, end) - 1
+            if i >= 0 and ends[i] > start and end > start:
+                self._remove_overlaps(table, start, end)
         return self.stats.invalidations - before
 
     def migrate_to(self, other: "RRT", pid: int | None = None) -> int:
@@ -206,6 +222,7 @@ class RRT:
         table = self._tables.pop(pid, None)
         if not table:
             return 0
+        self._occupancy -= len(table)
         moved = 0
         saved_pid = other._active_pid
         other._active_pid = pid
@@ -245,6 +262,7 @@ class RRT:
             )
             for pid, starts, ends, masks in state["tables"]
         }
+        self._occupancy = sum(len(t) for t in self._tables.values())
         self._active_pid = int(state["active_pid"])
         self.stats = RRTStats(**state["stats"])
 

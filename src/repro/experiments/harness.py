@@ -70,7 +70,13 @@ from repro.experiments.serialize import (
     SchemaVersionError,
 )
 from repro.ioutils import atomic_write
-from repro.snapshot import config_sha256
+from repro.snapshot import (
+    CorruptSnapshotError,
+    SnapshotMismatchError,
+    config_sha256,
+    read_snapshot_file,
+    verify_meta,
+)
 from repro.template import retry_delay
 
 __all__ = [
@@ -301,6 +307,21 @@ def _sweep_attempt(attempt: template.Attempt) -> Any:
     return template.resume_or_fresh(run, snapshot if p["resume"] else None)
 
 
+def _continues_from(snapshot: Path, job: Job, cfg: Any) -> bool:
+    """Whether ``job``'s attempt will continue from ``snapshot``: the file
+    is there, its framing is intact and it carries this job's identity.
+    (The attempt itself quarantines one that is not.)"""
+    try:
+        payload = read_snapshot_file(snapshot)
+        verify_meta(
+            payload, workload=job.workload, policy=job.policy, seed=job.seed,
+            cfg=cfg,
+        )
+    except (OSError, CorruptSnapshotError, SnapshotMismatchError):
+        return False
+    return True
+
+
 @dataclass
 class _Pending:
     job: Job
@@ -419,7 +440,7 @@ def run_sweep(
                     emit("skipped", job, "already checkpointed")
                     continue
                 snapshot = snapshot_of(job)
-                if snapshot.is_file():
+                if _continues_from(snapshot, job, cfg):
                     emit("resumed", job, f"continuing from snapshot {snapshot}")
                 pending.append(job)
         _write_manifest(rd, plan, cfg, request)

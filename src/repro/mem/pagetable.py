@@ -97,21 +97,78 @@ class PageTable:
         for vpage in region.pages(self.amap):
             self.translate_page(vpage)
 
-    def translate_blocks(self, vblocks: np.ndarray) -> np.ndarray:
-        """Vectorized translation of virtual block numbers to physical ones.
-
-        Works on unique pages only (64 blocks/page), per the vectorization
-        guidance for hot paths.
-        """
-        vblocks = np.asarray(vblocks, dtype=np.int64)
+    def _map_pages(self, spans) -> None:
+        """Allocate frames for every unmapped page of the block ``spans``,
+        in ascending page order (one fragmentation draw per frame)."""
         shift = self.amap.page_shift - self.amap.block_shift
-        vpages = vblocks >> shift
-        uniq, inverse = np.unique(vpages, return_inverse=True)
-        frames = np.fromiter(
-            (self.translate_page(int(p)) for p in uniq), dtype=np.int64, count=len(uniq)
-        )
-        offsets = vblocks & ((1 << shift) - 1)
-        return (frames[inverse] << shift) | offsets
+        pt_map = self._map
+        missing = {
+            page
+            for first, stop in spans
+            for page in range(first >> shift, ((stop - 1) >> shift) + 1)
+            if page not in pt_map
+        }
+        for page in sorted(missing):
+            pt_map[page] = self._allocate_frame()
+
+    def translate_blocks(self, spans) -> list[list[int]]:
+        """Physical block numbers of each virtual block span ``[first, stop)``.
+
+        Frames for pages not yet mapped are allocated first, in ascending
+        virtual-page order over all the spans (the order a translation of
+        the sorted unique pages would take), so the fragmentation RNG sees
+        the same sequence however the spans are ordered.  Equal spans
+        share one result list.
+        """
+        try:
+            return self._translate_spans(spans)
+        except KeyError:  # first touch of some page
+            self._map_pages(spans)
+            return self._translate_spans(spans)
+
+    def _translate_spans(self, spans) -> list[list[int]]:
+        shift = self.amap.page_shift - self.amap.block_shift
+        offset_mask = (1 << shift) - 1
+        page_blocks = 1 << shift
+        pt_map = self._map
+        translated: dict[tuple[int, int], list[int]] = {}
+        out: list[list[int]] = []
+        for span in spans:
+            sweep = translated.get(span)
+            if sweep is None:
+                first, stop = span
+                page = first >> shift
+                last = (stop - 1) >> shift
+                # A page's blocks stay contiguous behind its frame; runs
+                # of consecutive frames extend one physical range.
+                lo = (pt_map[page] << shift) | (first & offset_mask)
+                hi = (lo | offset_mask) + 1
+                sweep = []
+                while page < last:
+                    page += 1
+                    base = pt_map[page] << shift
+                    if base != hi:
+                        sweep += range(lo, hi)
+                        lo = base
+                    hi = base + page_blocks
+                sweep += range(lo, hi - offset_mask + ((stop - 1) & offset_mask))
+                translated[span] = sweep
+            out.append(sweep)
+        return out
+
+    def written_frames(self, segments) -> tuple[list[int], list[bool]]:
+        """Ascending physical frames under the virtual block ``segments``
+        (``(first, stop, written)``, all mapped), each with whether a
+        written segment covers part of it."""
+        shift = self.amap.page_shift - self.amap.block_shift
+        pt_map = self._map
+        wrote: dict[int, bool] = {}
+        for first, stop, written in segments:
+            for page in range(first >> shift, ((stop - 1) >> shift) + 1):
+                frame = pt_map[page]
+                wrote[frame] = wrote.get(frame, False) or written
+        frames = sorted(wrote)
+        return frames, [wrote[f] for f in frames]
 
     # --- range collapsing (paper Fig. 5) ---
 

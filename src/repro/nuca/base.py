@@ -60,6 +60,9 @@ class NucaPolicy(ABC):
     #: total LLC banks the policy places over; subclasses set this so the
     #: base class can compute the surviving-bank list on failures.
     total_banks: int = 0
+    #: whether :meth:`classify_pages` does anything; the machine builds a
+    #: task's page list for it only when it does.
+    classifies_pages: bool = False
 
     def __init__(self) -> None:
         self.stats = PolicyStats()

@@ -33,6 +33,7 @@ class RNuca(NucaPolicy):
     """OS-driven Reactive NUCA with read-only data replication."""
 
     name = "R-NUCA"
+    classifies_pages = True
 
     def __init__(self, mesh: Mesh, amap: AddressMap) -> None:
         super().__init__()

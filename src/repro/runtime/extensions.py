@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from repro.core.isa import TdNucaISA
 from repro.core.policy import Placement, PlacementKind, decide_placement
 from repro.core.rtdirectory import RTCacheDirectory
+from repro.deps import DepMode
 from repro.mem.region import Region
 from repro.noc.topology import Mesh
 from repro.runtime.task import Task
@@ -151,23 +152,27 @@ class TdNucaRuntime(RuntimeExtension):
     def on_task_start(self, task: Task, core: int) -> int:
         cycles = 0
         records: list[tuple[Region, Placement]] = []
+        isa = self.isa if self.execute_isa else None
+        all_cores = self._all_cores_mask
         for dep in task.deps:
-            entry = self.directory.dec_use(dep.region)
+            region = dep.region
+            writes = dep.mode is not DepMode.IN
+            entry = self.directory.dec_use(region)
             cycles += self.DIRECTORY_OP_CYCLES
+            # Every instruction below shares one walk of the dependency.
+            walk = isa.walk(core, region) if isa is not None else None
 
             # Lazy invalidation: a replicated (read-only) dependency is
             # about to be written -> drop every replica and RRT entry.
-            if entry.replicated and dep.mode.writes:
+            if entry.replicated and writes:
                 self.stats.lazy_invalidations += 1
-                if self.execute_isa:
-                    cycles += self.isa.tdnuca_invalidate(
-                        core, dep.region, self._all_cores_mask
-                    )
-                    cycles += self.isa.tdnuca_flush(
-                        core, dep.region, "l1", self._all_cores_mask
+                if isa is not None:
+                    cycles += isa.tdnuca_invalidate(core, region, all_cores, walk)
+                    cycles += isa.tdnuca_flush(
+                        core, region, "l1", all_cores, walk
                     ).cycles
-                    cycles += self.isa.tdnuca_flush(
-                        core, dep.region, "llc", self._all_cores_mask
+                    cycles += isa.tdnuca_flush(
+                        core, region, "llc", all_cores, walk
                     ).cycles
                 entry.map_mask = 0
                 entry.replicated = False
@@ -178,13 +183,13 @@ class TdNucaRuntime(RuntimeExtension):
             cycles += self.DECISION_CYCLES
             self._count_decision(placement)
 
-            usage = self._usage(dep.region)
+            usage = self._usage(region)
             usage.uses += 1
             if placement.kind is PlacementKind.BYPASS:
                 usage.bypassed_uses += 1
-            if dep.mode.reads:
+            if dep.mode is not DepMode.OUT:
                 usage.read_uses += 1
-            if dep.mode.writes:
+            if writes:
                 usage.write_uses += 1
 
             if placement.kind is not PlacementKind.UNTRACKED:
@@ -194,16 +199,16 @@ class TdNucaRuntime(RuntimeExtension):
                     # retire them everywhere before bypassing.  This is
                     # what bounds RRT occupancy in replication-heavy
                     # programs (the paper's LU peaks at 37 of 64 entries).
-                    if self.execute_isa:
-                        cycles += self.isa.tdnuca_invalidate(
-                            core, dep.region, self._all_cores_mask
+                    if isa is not None:
+                        cycles += isa.tdnuca_invalidate(
+                            core, region, all_cores, walk
                         )
-                        cycles += self.isa.tdnuca_flush(
-                            core, dep.region, "llc", entry.map_mask
+                        cycles += isa.tdnuca_flush(
+                            core, region, "llc", entry.map_mask, walk
                         ).cycles
-                if self.execute_isa:
-                    cycles += self.isa.tdnuca_register(
-                        core, dep.region, placement.bank_mask
+                if isa is not None:
+                    cycles += isa.tdnuca_register(
+                        core, region, placement.bank_mask, walk
                     )
                 if placement.kind is PlacementKind.CLUSTER_REPLICATE:
                     entry.map_mask |= placement.bank_mask
@@ -211,8 +216,8 @@ class TdNucaRuntime(RuntimeExtension):
                 else:
                     entry.map_mask = placement.bank_mask
                     entry.replicated = False
-            entry.ever_written = entry.ever_written or dep.mode.writes
-            records.append((dep.region, placement))
+            entry.ever_written = entry.ever_written or writes
+            records.append((region, placement))
         self._active[task.tid] = records
         self.stats.software_cycles += cycles
         self._sample_occupancy()
@@ -220,31 +225,37 @@ class TdNucaRuntime(RuntimeExtension):
 
     def _sample_occupancy(self) -> None:
         s = self.stats
-        for rrt in self.isa.rrts:
-            occ = rrt.occupancy
-            s.occupancy_sample_sum += occ
-            s.occupancy_samples += 1
-            if occ > s.occupancy_max:
-                s.occupancy_max = occ
+        occupancy = [rrt.occupancy for rrt in self.isa.rrts]
+        if not occupancy:
+            return
+        s.occupancy_sample_sum += sum(occupancy)
+        s.occupancy_samples += len(occupancy)
+        peak = max(occupancy)
+        if peak > s.occupancy_max:
+            s.occupancy_max = peak
 
     def on_task_end(self, task: Task, core: int) -> int:
         cycles = 0
+        isa = self.isa if self.execute_isa else None
         for region, placement in self._active.pop(task.tid, []):
             if placement.kind is PlacementKind.BYPASS:
-                if self.execute_isa:
-                    cycles += self.isa.tdnuca_flush(
-                        core, region, "l1", 1 << core
+                if isa is not None:
+                    walk = isa.walk(core, region)
+                    cycles += isa.tdnuca_flush(
+                        core, region, "l1", 1 << core, walk
                     ).cycles
-                    cycles += self.isa.tdnuca_invalidate(core, region, 1 << core)
+                    cycles += isa.tdnuca_invalidate(core, region, 1 << core, walk)
             elif placement.kind is PlacementKind.LOCAL_BANK:
                 entry = self.directory.entry(region)
-                bank_mask = placement.bank_mask
-                if self.execute_isa:
-                    cycles += self.isa.tdnuca_flush(
-                        core, region, "llc", bank_mask
+                if isa is not None:
+                    walk = isa.walk(core, region)
+                    cycles += isa.tdnuca_flush(
+                        core, region, "llc", placement.bank_mask, walk
                     ).cycles
-                    cycles += self.isa.tdnuca_flush(core, region, "l1", 1 << core).cycles
-                    cycles += self.isa.tdnuca_invalidate(core, region, 1 << core)
+                    cycles += isa.tdnuca_flush(
+                        core, region, "l1", 1 << core, walk
+                    ).cycles
+                    cycles += isa.tdnuca_invalidate(core, region, 1 << core, walk)
                 entry.map_mask = 0
             # CLUSTER_REPLICATE / UNTRACKED: mapping (if any) remains.
         self.stats.software_cycles += cycles

@@ -10,8 +10,13 @@ dependencies exactly as a task-dataflow runtime does:
 Two overlap-detection modes are provided.  ``exact`` (default) keys regions
 by ``(start, size)`` — O(1) per dependency, and sufficient for the paper's
 benchmarks, whose array-section annotations tile the data identically across
-tasks.  ``interval`` performs full interval-overlap analysis (O(regions)
-per dependency) for programs with partially overlapping sections.
+tasks.  ``interval`` performs full interval-overlap analysis for programs
+with partially overlapping sections, through a size-class index that looks
+only at states which could overlap the query.
+
+Edges depend only on *which* states a dependency overlaps: linking a new
+task appends it to each predecessor's successor list, whatever order the
+predecessors are visited in.
 """
 
 from __future__ import annotations
@@ -54,27 +59,20 @@ class _Node:
 class TaskGraph:
     """Incremental TDG over one phase of a program."""
 
-    #: interval-mode spatial index granularity (bytes per bucket).
-    BUCKET_SHIFT = 16
-
     def __init__(self, overlap_mode: str = "exact") -> None:
         if overlap_mode not in ("exact", "interval"):
             raise ValueError("overlap_mode must be 'exact' or 'interval'")
         self.overlap_mode = overlap_mode
         self._regions: dict[tuple[int, int], _RegionState] = {}
         self._nodes: dict[int, _Node] = {}
-        # Interval mode: bucket index over the address space so overlap
-        # queries touch only nearby states instead of every region.
-        self._buckets: dict[int, list[_RegionState]] = {}
+        # Interval mode: states indexed by size class.  A state of size in
+        # [2^(k-1), 2^k) sits in class k's bucket ``start >> k``, so one that
+        # overlaps ``[lo, hi)`` starts in ``(lo - 2^k, hi)``: a query visits
+        # a few buckets per class, at any scale.
+        self._classes: dict[int, dict[int, list[_RegionState]]] = {}
         self.edges = 0
 
     # --- construction ---
-
-    def _bucket_range(self, region: Region) -> range:
-        return range(
-            region.start >> self.BUCKET_SHIFT,
-            ((region.end - 1) >> self.BUCKET_SHIFT) + 1,
-        )
 
     def _states_overlapping(self, region: Region) -> list[_RegionState]:
         key = (region.start, region.size)
@@ -84,34 +82,23 @@ class TaskGraph:
                 state = _RegionState(region)
                 self._regions[key] = state
             return [state]
-        # Interval mode: candidates come from the buckets the region spans.
         out: list[_RegionState] = []
-        seen: set[int] = set()
         r_start = region.start
         r_end = r_start + region.size
-        nonempty = region.size > 0
-        buckets = self._buckets
-        bucket_range = range(
-            r_start >> self.BUCKET_SHIFT,
-            ((r_end - 1) >> self.BUCKET_SHIFT) + 1,
-        )
-        for b in bucket_range:
-            for state in buckets.get(b, ()):
-                # Inline Region.overlaps over the denormalized bounds.
-                if (
-                    nonempty
-                    and state.start < r_end
-                    and r_start < state.end
-                    and state.end > state.start
-                    and id(state) not in seen
-                ):
-                    seen.add(id(state))
-                    out.append(state)
+        if region.size > 0:
+            for shift, buckets in self._classes.items():
+                for b in range((r_start >> shift) - 1, ((r_end - 1) >> shift) + 1):
+                    for state in buckets.get(b, ()):
+                        if state.start < r_end and r_start < state.end:
+                            out.append(state)
         if key not in self._regions:
             state = _RegionState(region)
             self._regions[key] = state
-            for b in bucket_range:
-                buckets.setdefault(b, []).append(state)
+            if region.size > 0:
+                shift = region.size.bit_length()
+                self._classes.setdefault(shift, {}).setdefault(
+                    r_start >> shift, []
+                ).append(state)
             out.append(state)
         return out
 
@@ -131,24 +118,43 @@ class TaskGraph:
             raise ValueError(f"task {task.tid} already in graph")
         node = _Node(task)
         self._nodes[task.tid] = node
-        for dep in task.deps:
-            for state in self._states_overlapping(dep.region):
-                if dep.mode.reads and state.last_writer is not None:
+        deps = task.deps
+        # One overlap query per dependency; the update pass below reuses it.
+        overlapping: list[list[_RegionState]] = []
+        created: list[tuple[int, _RegionState]] = []
+        for dep in deps:
+            known = len(self._regions)
+            states = self._states_overlapping(dep.region)
+            if len(self._regions) > known:
+                created.append((len(overlapping), states[-1]))
+            overlapping.append(states)
+            mode = dep.mode
+            for state in states:
+                if mode is not DepMode.OUT and state.last_writer is not None:
                     self._link(state.last_writer, node)  # RAW
-                if dep.mode.writes:
+                if mode is not DepMode.IN:
                     if state.last_writer is not None:
                         self._link(state.last_writer, node)  # WAW
                     for reader in state.readers_since_write:
                         self._link(reader, node)  # WAR
+        if self.overlap_mode == "interval":
+            # A state a later dependency created overlaps an earlier one
+            # too, as a query made now would find.
+            for j, state in created:
+                for i in range(j):
+                    r_start = deps[i].region.start
+                    if state.start < r_start + deps[i].region.size and r_start < state.end:
+                        overlapping[i].append(state)
         # Second pass: update region states (a task reading and writing the
         # same region must not self-link).
-        for dep in task.deps:
-            for state in self._states_overlapping(dep.region):
-                if dep.mode.writes:
+        for dep, states in zip(deps, overlapping):
+            mode = dep.mode
+            for state in states:
+                if mode is DepMode.IN:
+                    state.readers_since_write.append(task)
+                else:
                     state.last_writer = task
                     state.readers_since_write.clear()
-                elif dep.mode is DepMode.IN:
-                    state.readers_since_write.append(task)
 
     # --- execution-side interface ---
 

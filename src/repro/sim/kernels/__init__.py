@@ -17,8 +17,8 @@ implementations exist:
     It runs every task whatever its length — at full scale it beat a
     numpy-batched phased engine on every measured cell (DESIGN.md §13) —
     and dispatches per task, deferring to the reference loop whenever the
-    machine is in a state it does not model (tracing hooks, DRAM
-    transients, dead banks, non-PLRU replacement, D-NUCA).
+    machine is in a state it does not model (DRAM transients, dead banks,
+    non-PLRU replacement, D-NUCA, policies other than TD-NUCA/S-NUCA).
 
 ``verify``
     A debug harness that runs *both* kernels on every task and raises
@@ -87,7 +87,8 @@ class SimKernel:
     def run_blocks(self, machine, core, pblocks, writes, compute_per_access=None):
         """Execute the trace on ``machine``; returns memory+compute cycles.
 
-        Implementations must leave the machine in exactly the state the
+        ``pblocks`` and ``writes`` are lists: the physical block and the
+        write flag of every reference, in order.  Implementations must leave the machine in exactly the state the
         reference interpreter would (the golden snapshots enforce this),
         including the pending-traffic flush at the end of the task.
         """

@@ -134,8 +134,7 @@ def run_blocks_interpreted(m, core, pblocks, writes, compute_per_access=None):
     d_row_hits = 0     # dram_fast: row-buffer hits
     d_row_misses = 0   # dram_fast: row-buffer misses
 
-    blocks_list = pblocks.tolist()
-    for block, write in zip(blocks_list, writes.tolist()):
+    for block, write in zip(pblocks, writes):
         # Inlined L1 probe (the allocation-free hit fast path).
         s = block & l1_mask
         way = l1_sets[s].get(block)
@@ -364,7 +363,7 @@ def run_blocks_interpreted(m, core, pblocks, writes, compute_per_access=None):
                         m._llc_eviction(wb_bank, ev2, ev2_dirty)
 
     # --- apply the batched deltas ---
-    n = len(blocks_list)
+    n = len(pblocks)
     llc_req = llc_hits + llc_misses
 
     # Latency: every access pays compute + the L1 probe; LLC legs pay

@@ -15,9 +15,12 @@ event.  Because it processes events in true time order, an own-core
 back-invalidation needs no special handling.
 
 Per-task dispatch falls back to the reference loop whenever the machine
-is in a state this kernel does not model: tracing hooks, D-NUCA, DRAM
-transient errors, dead banks, non-PLRU replacement, or a policy other
-than TD-NUCA/S-NUCA.
+is in a state this kernel does not model: D-NUCA, DRAM transient errors,
+dead banks, non-PLRU replacement, or a policy other than TD-NUCA/S-NUCA.
+An attached observer is no such state: no observer hook runs inside
+either kernel (they fire at task boundaries, flushes, remaps and stats
+resets; the only per-reference one, the DRAM retry, comes with the
+transient errors the gate already sends to the reference loop).
 """
 
 from __future__ import annotations
@@ -64,8 +67,6 @@ class VectorKernel(SimKernel):
 
 def _fallback_reason(m, core):
     """Why this task cannot take the vector path (None = it can)."""
-    if m.obs is not None:
-        return "tracing"
     if m._dnuca is not None:
         return "dnuca"
     if m.dram._error_p != 0.0:
@@ -105,6 +106,7 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
     l1_dirty = l1._dirty
     l1_repl = l1._repl
     llc_banks = m.llc.banks
+    llc_set_maps = [bo._map for bo in llc_banks]
     llc_mask = llc_banks[0]._set_mask
     llc_assoc = llc_banks[0].assoc
     dist_rows = m.mesh.dist_rows
@@ -203,8 +205,8 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
             acc_cb[_WRITEBACK] += data_bytes
             energy.dram_accesses += 1
         vs = victim & llc_mask
-        for bo in llc_banks:
-            if victim in bo._map[vs]:
+        for sets in llc_set_maps:
+            if victim in sets[vs]:
                 return
         for core_ in drop_block(victim):
             routers = dist_bank[core_] + 1
@@ -230,8 +232,7 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
                 acc_cb[_WRITEBACK] += data_bytes
                 energy.dram_accesses += 1
 
-    blocks_list = pblocks.tolist()
-    for block, write in zip(blocks_list, writes.tolist()):
+    for block, write in zip(pblocks, writes):
         s = block & l1_mask
         smap = l1_sets[s]
         way = smap.get(block)
@@ -485,7 +486,7 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
                         evict(wb_bank, ev2, ev2_dirty)
 
     # --- apply the batched deltas (mirror of the reference commit) ---
-    n = len(blocks_list)
+    n = len(pblocks)
     llc_req = llc_hits + llc_misses
     d_stats.entries_peak = d_peak
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.cache.bank import BankStats
 from repro.cache.directory import CoherenceDirectory
 from repro.cache.l1 import L1Cache
@@ -48,7 +46,13 @@ from repro.nuca.dnuca import DNuca
 from repro.nuca.rnuca import RNuca
 from repro.nuca.snuca import SNuca
 from repro.runtime.task import Task
-from repro.runtime.trace import build_trace_cached, shared_trace_cache
+from repro.runtime.trace import (
+    bracket,
+    build_trace_cached,
+    expand_runs,
+    run_spans,
+    shared_trace_cache,
+)
 from repro.sim.dram import MemoryControllers
 from repro.sim.kernels import make_kernel
 from repro.sim.latency import LatencyModel
@@ -148,7 +152,6 @@ class Machine:
         if isa is not None:
             isa.flush_executor = self._execute_flush
         self._data_bytes = data_message_bytes(cfg.block_bytes)
-        self._page_block_shift = self.amap.page_shift - self.amap.block_shift
         # Precomputed flit counts: every message in the simulator is either
         # a control message or a whole-block data message, so the hot loop
         # never performs a ceil-division.
@@ -178,25 +181,31 @@ class Machine:
         )
         self._dead_banks: set[int] = set()
         self._alive_banks: list[int] = list(range(cfg.num_banks))
-        # Per-core runtime/stack scratch regions (non-dependency traffic).
-        # Placed at the top of the virtual address space so they can never
-        # alias workload allocations (which grow upward from 0x1000).
+        # Per-core runtime/stack scratch regions (non-dependency traffic),
+        # as virtual block spans ``(first, stop)``.  Placed at the top of
+        # the virtual address space so they can never alias workload
+        # allocations (which grow upward from 0x1000).
         scratch_base = 1 << 40
         stride = max(cfg.page_bytes, cfg.nondep_blocks_per_task * cfg.block_bytes)
-        self._scratch_vblocks = []
+        self._scratch_spans: list[tuple[int, int] | None] = []
         for c in range(cfg.num_cores):
             start = (scratch_base + c * stride) >> self.amap.block_shift
-            self._scratch_vblocks.append(
-                np.arange(start, start + cfg.nondep_blocks_per_task, dtype=np.int64)
+            self._scratch_spans.append(
+                (start, start + cfg.nondep_blocks_per_task)
+                if cfg.nondep_blocks_per_task
+                else None
             )
-        # Write-flag arrays for the scratch sweeps, built once instead of
-        # per task.  np.concatenate copies, so sharing them is safe.
-        self._scratch_read_flags = np.zeros(cfg.nondep_blocks_per_task, dtype=bool)
-        self._scratch_write_flags = np.ones(cfg.nondep_blocks_per_task, dtype=bool)
+        self._forget_scratch()
 
     @property
     def num_cores(self) -> int:
         return self.cfg.num_cores
+
+    def _forget_scratch(self) -> None:
+        """Drop each core's translated scratch sweep, so its next task
+        translates the scratch again and re-folds it into the census (after
+        a new census or a restored page table)."""
+        self._scratch_sweeps: list[list[int] | None] = [None] * self.cfg.num_cores
 
     # ------------------------------------------------------------------
     # batched traffic accounting
@@ -243,31 +252,43 @@ class Machine:
 
     def run_task_trace(self, core: int, task: Task) -> int:
         """Apply ``task``'s memory trace issued from ``core``; returns the
-        memory + per-access compute cycles it took."""
+        memory + per-access compute cycles it took.
+
+        Everything before the kernel works on the trace's block runs: the
+        census folds its unique-block segments, translation maps each run
+        a page at a time, and only then is the per-reference physical
+        sequence expanded, with list copies, for the kernel to walk.
+        """
         trace = build_trace_cached(task, self.amap, self._trace_cache)
-        vblocks, writes = trace.vblocks, trace.writes
-        scratch = self._scratch_vblocks[core]
-        if len(scratch):
+        runs, segments = trace.runs, trace.segments
+        scratch = self._scratch_spans[core]
+        if scratch is not None:
             # Runtime/stack traffic: one read and one write sweep per task.
-            vblocks = np.concatenate([scratch, vblocks, scratch])
-            writes = np.concatenate(
-                [self._scratch_read_flags, writes, self._scratch_write_flags]
-            )
-        if len(vblocks) == 0:
+            runs, segments = bracket(trace, *scratch)
+        if not runs:
             self._task_boundary(core)
             return 0
+        # A core's scratch blocks are the same in every task: once folded
+        # into the census and translated, they are saturated there and
+        # their physical sweep is fixed, so later tasks skip both.
+        scratch_sweep = self._scratch_sweeps[core]
         if self.census is not None:
-            self.census.record(core, vblocks, writes)
-        pblocks = self.pagetable.translate_blocks(vblocks)
-
-        # Batch OS page classification (R-NUCA); reads before writes.
-        pages = pblocks >> self._page_block_shift
-        uniq_pages, inverse = np.unique(pages, return_inverse=True)
-        wrote = np.zeros(len(uniq_pages), dtype=bool)
-        np.logical_or.at(wrote, inverse, writes)
-        for action in self.policy.classify_pages(core, uniq_pages.tolist(), wrote.tolist()):
-            self._apply_flush_action(action)
-
+            self.census.record(
+                core, segments if scratch_sweep is None else trace.segments
+            )
+        if scratch_sweep is None:
+            sweeps = self.pagetable.translate_blocks(run_spans(runs))
+            if scratch is not None:
+                self._scratch_sweeps[core] = sweeps[0]
+        else:
+            sweeps = self.pagetable.translate_blocks(run_spans(trace.runs))
+            sweeps = [scratch_sweep, *sweeps, scratch_sweep]
+        if self.policy.classifies_pages:
+            # Batch OS page classification (R-NUCA); reads before writes.
+            frames, wrote = self.pagetable.written_frames(segments)
+            for action in self.policy.classify_pages(core, frames, wrote):
+                self._apply_flush_action(action)
+        pblocks, writes = expand_runs(runs, sweeps)
         cycles = self._run_blocks(core, pblocks, writes, task.compute_per_access)
         self._task_boundary(core)
         return cycles
@@ -288,11 +309,12 @@ class Machine:
     def _run_blocks(
         self,
         core: int,
-        pblocks: np.ndarray,
-        writes: np.ndarray,
+        pblocks: list[int],
+        writes: list[bool],
         compute_per_access: int | None = None,
     ) -> int:
-        """Execute one task's translated trace via the active kernel.
+        """Execute one task's translated trace (physical block and write
+        flag per reference, as lists) via the active kernel.
 
         The per-reference interpreter lives in
         :mod:`repro.sim.kernels.reference`; the fused specialized engine
@@ -520,14 +542,35 @@ class Machine:
 
     def _flush_l1(self, blocks: list[int], cores) -> tuple[int, int]:
         """Flush ``blocks`` from the named cores' L1s through the uniform
-        flush accounting (``flushed_blocks``), like every other flush."""
+        flush accounting (``flushed_blocks``), like every other flush.
+
+        With several cores, only those whose directory presence bit names
+        a block can hold it (every L1-resident line has its bit;
+        ``faults/invariants.py`` checks that), so each core scans just
+        those blocks.  Writebacks keep the (core, block) order of a full
+        scan."""
         obs = self.obs
         if obs is not None:
             obs.flush_begin("l1", cores, len(blocks))
         flushed = dirty_total = 0
         directory = self.directory
-        for core in cores:
-            removed = self.l1s[core].flush_blocks_collect(blocks)
+        if len(cores) == 1:
+            scans = ((cores[0], blocks),)
+        else:
+            present = directory._sharers.get
+            wanted = holders = 0
+            for core in cores:
+                wanted |= 1 << core
+            held = [(block, m) for block in blocks if (m := present(block, 0) & wanted)]
+            for _, m in held:
+                holders |= m
+            scans = [
+                (core, [block for block, m in held if m >> core & 1])
+                for core in cores
+                if holders >> core & 1
+            ]
+        for core, mine in scans:
+            removed = self.l1s[core].flush_blocks_collect(mine)
             flushed += len(removed)
             dist_core = self.mesh.dist_rows[core]
             for block, dirty in removed:
@@ -542,23 +585,34 @@ class Machine:
         return flushed, dirty_total
 
     def _flush_llc(self, blocks: list[int], banks) -> tuple[int, int]:
+        """Flush ``blocks`` from the named LLC banks.  Every bank is charged
+        a tag probe per block; only the blocks a bank holds (its set maps
+        answer that exactly) go through the removal and writeback path,
+        in (bank, block) order."""
         obs = self.obs
         if obs is not None:
             obs.flush_begin("llc", banks, len(blocks))
         flushed = dirty_total = 0
+        energy = self.energy
+        energy.llc_tag_probes += len(blocks) * len(banks)
+        llc_banks = self.llc.banks
         for bank in banks:
-            bank_obj = self.llc.banks[bank]
-            self.energy.llc_probe(len(blocks))
-            removed = bank_obj.flush_blocks_collect(blocks)
+            bank_obj = llc_banks[bank]
+            sets = bank_obj._map
+            set_mask = bank_obj._set_mask
+            held = [block for block in blocks if block in sets[block & set_mask]]
+            if not held:
+                continue
+            removed = bank_obj.flush_blocks_collect(held)
             flushed += len(removed)
             dist_bank = self.mesh.dist_rows[bank]
             for block, dirty in removed:
                 if dirty:
                     dirty_total += 1
-                    self.energy.llc_victim_read()
+                    energy.llc_victim_read()
                     mc, _ = self.dram.write(block)
                     self._record(_WRITEBACK, self._data_bytes, dist_bank[mc])
-                    self.energy.dram_accesses += 1
+                    energy.dram_accesses += 1
         if obs is not None:
             obs.flush_end("llc", flushed, dirty_total)
         return flushed, dirty_total
@@ -592,6 +646,7 @@ class Machine:
         self.policy.stats = PolicyStats()
         if self.census is not None:
             self.census = BlockCensus(self.cfg.num_cores)
+            self._forget_scratch()
         if self.rrts is not None:
             for rrt in self.rrts:
                 rrt.stats = RRTStats()
@@ -721,6 +776,7 @@ class Machine:
         """
         self.tasks_completed = int(state["tasks_completed"])
         self.pagetable.load_state_dict(state["pagetable"])
+        self._forget_scratch()
         for name, mine, stored in (
             ("tlbs", self.tlbs, state["tlbs"]),
             ("l1s", self.l1s, state["l1s"]),

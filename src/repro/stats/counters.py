@@ -7,9 +7,9 @@ whole run; *shared read-only* = touched by several cores, never written;
 *shared* = the rest).
 
 The per-block state is packed into one integer — core bitmask in the low
-bits, written flag above — and updates are batched per task trace with
-NumPy ``unique`` so the census adds O(unique blocks) work per task, not
-O(accesses).
+bits, written flag above — and each task is folded in from its trace's
+unique-block segments (:func:`repro.runtime.trace.unique_segments`), so
+the census adds O(unique blocks) work per task, not O(accesses).
 """
 
 from __future__ import annotations
@@ -53,20 +53,27 @@ class BlockCensus:
         self._core_mask = self._written_bit - 1
         self._state: dict[int, int] = {}
 
-    def record(self, core: int, vblocks: np.ndarray, writes: np.ndarray) -> None:
-        """Fold one task trace into the census."""
+    def record(self, core: int, segments) -> None:
+        """Fold one task trace into the census.
+
+        ``segments`` are the trace's unique blocks as ascending, disjoint
+        ``(first, stop, written)`` runs.  Blocks new to the census are
+        inserted in ascending order, which keeps :meth:`state_dict` stable.
+        """
         if not 0 <= core < self.num_cores:
             raise ValueError("core out of range")
-        if len(vblocks) == 0:
-            return
-        uniq, inverse = np.unique(vblocks, return_inverse=True)
-        wrote = np.zeros(len(uniq), dtype=bool)
-        np.logical_or.at(wrote, inverse, writes)
         bit = 1 << core
-        wbit = self._written_bit
+        wbits = bit | self._written_bit
         state = self._state
-        for block, w in zip(uniq.tolist(), wrote.tolist()):
-            state[block] = state.get(block, 0) | bit | (wbit if w else 0)
+        get = state.get
+        for first, stop, written in segments:
+            bits = wbits if written else bit
+            for block in range(first, stop):
+                packed = get(block)
+                if packed is None:
+                    state[block] = bits
+                elif packed | bits != packed:
+                    state[block] = packed | bits
 
     # --- queries ---
 

@@ -33,7 +33,7 @@ def _fuzz(seed: int, *, policy: str = "snuca", rounds: int = 30) -> None:
             n = int(rng.integers(1, 64))
             blocks = rng.integers(0, pool, size=n)
             writes = rng.random(n) < 0.5
-            machine._run_blocks(core, blocks.astype(np.int64), writes)
+            machine._run_blocks(core, blocks.tolist(), writes.tolist())
         else:
             # Flush a random slice from both levels; pairing L1 and LLC
             # keeps the inclusive hierarchy's contract intact.
@@ -65,7 +65,7 @@ def test_fuzz_with_mid_run_bank_death():
         core = int(rng.integers(CFG.num_cores))
         blocks = rng.integers(0, 512, size=48)
         writes = rng.random(48) < 0.5
-        machine._run_blocks(core, blocks.astype(np.int64), writes)
+        machine._run_blocks(core, blocks.tolist(), writes.tolist())
         if i == 10:
             machine.fail_bank(6)
         if i == 20:

@@ -194,6 +194,35 @@ class TestQuarantine:
         for key, d in by_key.items():
             assert _strip_resume_marker(d) == reference[key]
 
+    def test_corrupt_snapshot_is_not_announced_as_a_resume(self, tmp_path):
+        # The ``resumed`` event promises a continuation; a snapshot the
+        # attempt will quarantine must not trigger it.
+        run_dir = tmp_path / "run"
+        first = run_sweep(
+            JOBS, _cfg(), run_dir=run_dir, preempt_after_tasks=5
+        )
+        assert len(first.preempted) == len(JOBS)
+        bad = first.preempted[0]
+        victim = Path(bad.snapshot)
+        raw = bytearray(victim.read_bytes())
+        raw[len(raw) // 2] ^= 0x01  # one flipped byte
+        victim.write_bytes(bytes(raw))
+
+        resumed = []
+        with pytest.warns(UserWarning, match="corrupt snapshot"):
+            second = run_sweep(
+                JOBS, _cfg(), run_dir=run_dir, resume=True,
+                on_event=lambda kind, job, detail: (
+                    resumed.append(job.label) if kind == "resumed" else None
+                ),
+            )
+        bad_label = Job(bad.workload, bad.policy).label
+        assert bad_label not in resumed
+        assert len(resumed) == len(JOBS) - 1
+        by_key = {(r.workload, r.policy): r.result_dict()
+                  for r in second.completed}
+        assert "resumed_from_task" not in by_key[(bad.workload, bad.policy)]
+
     def test_snapshot_of_another_job_is_quarantined_and_the_job_reruns(
         self, tmp_path
     ):

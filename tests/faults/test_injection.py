@@ -7,7 +7,6 @@ coverage (whole workloads under faults) lives in
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.config import scaled_config
@@ -27,12 +26,8 @@ def _machine(policy="snuca", **overrides):
 
 
 def _run(machine, core, blocks, writes=None):
-    pblocks = np.asarray(blocks, dtype=np.int64)
-    if writes is None:
-        w = np.zeros(len(blocks), dtype=bool)
-    else:
-        w = np.asarray(writes, dtype=bool)
-    return machine._run_blocks(core, pblocks, w)
+    w = [False] * len(blocks) if writes is None else [bool(x) for x in writes]
+    return machine._run_blocks(core, [int(b) for b in blocks], w)
 
 
 class TestBankDeath:

@@ -21,12 +21,8 @@ def _machine(policy="snuca"):
 
 
 def _run(machine, core, blocks, writes=None):
-    pblocks = np.asarray(blocks, dtype=np.int64)
-    if writes is None:
-        w = np.zeros(len(blocks), dtype=bool)
-    else:
-        w = np.asarray(writes, dtype=bool)
-    return machine._run_blocks(core, pblocks, w)
+    w = [False] * len(blocks) if writes is None else [bool(x) for x in writes]
+    return machine._run_blocks(core, [int(b) for b in blocks], w)
 
 
 class TestCleanMachines:

@@ -1,6 +1,5 @@
 """Hardware D-NUCA: gradual migration, location table, machine wiring."""
 
-import numpy as np
 import pytest
 
 from repro.noc.topology import Mesh
@@ -70,8 +69,8 @@ class TestMigration:
 class TestMachineIntegration:
     def test_machine_performs_migrations(self):
         m = build_machine(tiny_config(), "dnuca", fragmentation=0.0)
-        blocks = np.array([15], dtype=np.int64)
-        writes = np.zeros(1, dtype=bool)
+        blocks = [15]
+        writes = [False]
         for _ in range(16):
             m.l1s[0].invalidate(15)  # force repeated LLC accesses
             m._run_blocks(0, blocks, writes)
@@ -84,8 +83,8 @@ class TestMachineIntegration:
 
     def test_migration_reduces_distance(self):
         m = build_machine(tiny_config(), "dnuca", fragmentation=0.0)
-        blocks = np.array([15], dtype=np.int64)
-        writes = np.zeros(1, dtype=bool)
+        blocks = [15]
+        writes = [False]
         first = m._run_blocks(0, blocks, writes)
         for _ in range(20):
             m.l1s[0].invalidate(15)
@@ -97,8 +96,8 @@ class TestMachineIntegration:
     def test_search_latency_charged(self):
         td = build_machine(tiny_config(), "snuca", fragmentation=0.0)
         dn = build_machine(tiny_config(), "dnuca", fragmentation=0.0)
-        blocks = np.array([7], dtype=np.int64)
-        writes = np.zeros(1, dtype=bool)
+        blocks = [7]
+        writes = [False]
         c_s = td._run_blocks(0, blocks, writes)
         c_d = dn._run_blocks(0, blocks, writes)
         assert c_d == c_s + dn.policy.lookup_cycles

@@ -1,7 +1,5 @@
 """Trace generation from access chunks."""
 
-import numpy as np
-
 from repro.deps import DepMode
 from repro.mem.address import AddressMap
 from repro.mem.region import Region
@@ -20,17 +18,17 @@ def trace_of(*chunks):
 class TestSweeps:
     def test_read_sweep(self):
         tr = trace_of(AccessChunk(R, False))
-        assert tr.vblocks.tolist() == [64, 65, 66, 67]
-        assert not tr.writes.any()
+        assert tr.vblocks == [64, 65, 66, 67]
+        assert not any(tr.writes)
 
     def test_write_sweep(self):
         tr = trace_of(AccessChunk(R, True))
-        assert tr.writes.all()
+        assert all(tr.writes)
 
     def test_passes_tile(self):
         tr = trace_of(AccessChunk(R, False, passes=3))
         assert len(tr) == 12
-        assert tr.vblocks.tolist() == [64, 65, 66, 67] * 3
+        assert tr.vblocks == [64, 65, 66, 67] * 3
 
     def test_chunk_order_preserved(self):
         r2 = Region(0x2000, 0x40)  # block 128
@@ -43,7 +41,7 @@ class TestSweeps:
         TD-NUCA *management* excludes them (Section III-D)."""
         r = Region(0x1020, 0x50)  # straddles blocks 64..65
         tr = trace_of(AccessChunk(r, False))
-        assert tr.vblocks.tolist() == [64, 65]
+        assert tr.vblocks == [64, 65]
 
     def test_empty_task(self):
         t = Task("t", (Dependency(R, DepMode.IN),), (AccessChunk(Region(0, 1), False),))
@@ -54,28 +52,30 @@ class TestSweeps:
 class TestRMW:
     def test_interleaved_read_write(self):
         tr = trace_of(AccessChunk(R, True, rmw=True))
-        assert tr.vblocks.tolist() == [64, 64, 65, 65, 66, 66, 67, 67]
-        assert tr.writes.tolist() == [False, True] * 4
+        assert tr.vblocks == [64, 64, 65, 65, 66, 66, 67, 67]
+        assert tr.writes == [False, True] * 4
 
     def test_rmw_passes(self):
         tr = trace_of(AccessChunk(R, True, passes=2, rmw=True))
         assert len(tr) == 16
-        assert tr.writes.tolist() == [False, True] * 8
+        assert tr.writes == [False, True] * 8
 
 
 class TestDerivedTraces:
     def test_inout_dep_yields_rmw_trace(self):
         t = Task("t", (Dependency(R, DepMode.INOUT),))
         tr = build_trace(t, AMAP)
-        assert tr.vblocks.tolist()[:2] == [64, 64]
-        assert tr.writes.tolist()[:2] == [False, True]
+        assert tr.vblocks[:2] == [64, 64]
+        assert tr.writes[:2] == [False, True]
 
     def test_shape_mismatch_rejected(self):
         from repro.runtime.trace import TaskTrace
         import pytest
 
+        # Runs are flat (first, stop, passes, kind) quadruples; an empty or
+        # inverted block range cannot describe a sweep.
         with pytest.raises(ValueError):
-            TaskTrace(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))
+            TaskTrace((64, 64, 1, 0))
 
 
 class TestTraceCache:

@@ -10,7 +10,6 @@ MESI invariants must hold machine-wide:
   under S-NUCA (no bypass, no replication drops).
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.machine import build_machine
@@ -34,8 +33,8 @@ def apply_trace(machine, trace):
     for core, block, write in trace:
         machine._run_blocks(
             core,
-            np.array([block], dtype=np.int64),
-            np.array([write], dtype=bool),
+            [block],
+            [write],
         )
 
 

@@ -12,15 +12,16 @@ backend-agnosticism of cache/snapshot fingerprints.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro import failpoints
 from repro.api import Session
 from repro.config import scaled_config
+from repro.experiments.golden import GOLDEN_CASES, canonical_stats
 from repro.sim.kernels import (
     KERNEL_ENV,
     KERNEL_NAMES,
@@ -34,6 +35,7 @@ from repro.sim.kernels.verify import MISMATCH_SITE, VerifyKernel
 from repro.sim.machine import build_machine
 
 from tests.conftest import tiny_config
+from tests.sim.test_golden_stats import GOLDEN_DIR
 
 
 @pytest.fixture(autouse=True)
@@ -57,13 +59,8 @@ def make_machine(policy="tdnuca", kernel="vector", **cfg_kw):
 
 
 def drive(machine, blocks, writes=None, core=0):
-    arr = np.asarray(blocks, dtype=np.int64)
-    w = (
-        np.zeros(len(arr), dtype=bool)
-        if writes is None
-        else np.asarray(writes, dtype=bool)
-    )
-    return machine._run_blocks(core, arr, w)
+    w = [False] * len(blocks) if writes is None else [bool(x) for x in writes]
+    return machine._run_blocks(core, [int(b) for b in blocks], w)
 
 
 class TestSelection:
@@ -120,6 +117,18 @@ class TestDispatchGate:
         assert st.tasks_vector == 0
         assert st.tasks_reference == 1
         assert st.fallback_reasons == {"dnuca": 1}
+
+    def test_traced_machine_takes_the_vector_path(self):
+        """No observer hook runs inside a kernel, so tracing is no reason
+        to leave the fused engine (service workers always attach one)."""
+        from repro.obs import Observer
+
+        m = make_machine("tdnuca")
+        Observer().attach(m)
+        drive(m, [100, 101, 102, 100])
+        st = m.kernel.stats
+        assert st.tasks_vector == 1
+        assert st.fallback_reasons == {}
 
     def test_unmodelled_policy_falls_back(self):
         m = make_machine("rnuca")
@@ -190,6 +199,24 @@ class TestCrossKernelEquivalence:
                     f"state divergence at {where}"
                 )
             assert vec.kernel.stats.tasks_vector == 8
+
+
+class TestTracedGoldens:
+    """A traced run takes the same kernel path as an untraced one, so it
+    must reproduce every committed golden snapshot under ``vector``: the
+    observer only reads counters at task boundaries."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_CASES, ids=[c.case_id for c in GOLDEN_CASES]
+    )
+    def test_traced_run_matches_golden_snapshot(self, case):
+        expected = json.loads((GOLDEN_DIR / f"{case.case_id}.json").read_text())
+        cfg = replace(case.config(), kernel="vector")
+        result = Session(cfg, seed=case.seed).run(
+            case.workload, case.policy, trace=True
+        )
+        assert result.traced
+        assert canonical_stats(result.experiment) == expected
 
 
 class TestVerifyKernel:

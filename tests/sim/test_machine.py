@@ -1,6 +1,5 @@
 """Machine integration: the full L1 -> policy -> LLC -> DRAM access path."""
 
-import numpy as np
 import pytest
 
 from repro.deps import DepMode
@@ -17,13 +16,8 @@ def make(policy="snuca", **cfg_kw):
 
 
 def run_blocks(machine, core, blocks, writes=None):
-    arr = np.asarray(blocks, dtype=np.int64)
-    w = (
-        np.zeros(len(arr), dtype=bool)
-        if writes is None
-        else np.asarray(writes, dtype=bool)
-    )
-    return machine._run_blocks(core, arr, w)
+    w = [False] * len(blocks) if writes is None else [bool(x) for x in writes]
+    return machine._run_blocks(core, [int(b) for b in blocks], w)
 
 
 def read_task(region, passes=1):

@@ -1,8 +1,6 @@
 """R-NUCA through the machine: classification drives placement and the
 reclassification flushes really evict."""
 
-import numpy as np
-
 from repro.nuca.classifier import PageClass
 from repro.sim.machine import build_machine
 
@@ -16,13 +14,12 @@ def make():
 
 def run(machine, core, blocks, writes=None):
     """Classify pages then run blocks — what run_task_trace does."""
-    arr = np.asarray(blocks, dtype=np.int64)
-    w = np.zeros(len(arr), dtype=bool) if writes is None else np.asarray(writes)
-    pages = sorted({int(b) >> 3 for b in arr})
-    wrote = [any(bool(x) and (int(b) >> 3) == p for b, x in zip(arr, w)) for p in pages]
+    w = [False] * len(blocks) if writes is None else [bool(x) for x in writes]
+    pages = sorted({b >> 3 for b in blocks})
+    wrote = [any(x and (b >> 3) == p for b, x in zip(blocks, w)) for p in pages]
     for action in machine.policy.classify_pages(core, pages, wrote):
         machine._apply_flush_action(action)
-    machine._run_blocks(core, arr, w)
+    machine._run_blocks(core, list(blocks), w)
 
 
 class TestPrivatePlacement:
@@ -48,7 +45,7 @@ class TestReclassificationFlush:
         assert m.llc.banks[0].contains(100)
         assert m.l1s[0].contains(100)
         # Core 1 touches the page via run_task_trace's classify path:
-        run2_blocks = np.array([100], dtype=np.int64)
+        run2_blocks = [100]
         # _run_blocks bypasses classify_pages; invoke the policy hook the
         # way run_task_trace does.
         for action in m.policy.classify_pages(1, [100 >> 3], [False]):

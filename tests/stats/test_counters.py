@@ -1,16 +1,17 @@
 """Block census (the Fig.-3 left-bar machinery)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.runtime.trace import READ, WRITE, unique_segments
 from repro.stats.counters import BlockCensus
 
 
 def record(census, core, blocks, writes=None):
-    arr = np.asarray(blocks, dtype=np.int64)
-    w = np.zeros(len(arr), dtype=bool) if writes is None else np.asarray(writes)
-    census.record(core, arr, w)
+    """Fold one trace, given per reference, through its unique segments."""
+    writes = [False] * len(blocks) if writes is None else writes
+    runs = [x for b, w in zip(blocks, writes) for x in (b, b + 1, 1, WRITE if w else READ)]
+    census.record(core, unique_segments(tuple(runs)))
 
 
 class TestClassification:
@@ -93,7 +94,7 @@ class TestAggregation:
 )
 @settings(max_examples=50, deadline=None)
 def test_census_matches_reference(traces):
-    """Vectorized census agrees with a naive per-access model."""
+    """The segment-fed census agrees with a naive per-access model."""
     census = BlockCensus(4)
     ref: dict[int, tuple[set, bool]] = {}
     for core, accesses in traces:

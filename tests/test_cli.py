@@ -363,13 +363,57 @@ class TestCommands:
         assert (run_dir / "snapshots" / "gauss__tdnuca__s0.snap").is_file()
         monkeypatch.delenv("REPRO_FAILPOINTS")
 
-        assert main(["sweep", "--resume", str(run_dir)]) == 0
+        # The sweep recorded its 1.5 s timeout; lift it so the resumed
+        # attempt can finish the job.
+        assert main(["sweep", "--resume", str(run_dir), "--timeout", "600"]) == 0
         resumed = json.loads(out.read_text())["runs"]["gauss/tdnuca"]
         assert resumed.pop("resumed_from_task") > 0
         reference = run_sweep(
             [Job("gauss", "tdnuca")], scaled_config(1 / 1024)
         ).result_dicts()[("gauss", "tdnuca")]
         assert resumed == reference
+
+    def test_sweep_resume_reuses_the_recorded_execution_settings(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A bare --resume runs the sweep as it was started (workers, timeout,
+        # retries, periodic snapshots) and writes where it was started,
+        # from any working directory; a flag given now still wins.
+        from repro.api import Session
+
+        calls = []
+        sweep = Session.sweep
+
+        def recording_sweep(self, **kwargs):
+            calls.append(kwargs)
+            return sweep(self, **kwargs)
+
+        monkeypatch.setattr(Session, "sweep", recording_sweep)
+        first, other = tmp_path / "first", tmp_path / "other"
+        first.mkdir()
+        other.mkdir()
+        monkeypatch.chdir(first)
+        assert main([
+            "sweep", "--scale", "2048", "--workloads", "md5",
+            "--policies", "snuca", "--jobs", "2", "--timeout", "30",
+            "--retries", "2", "--checkpoint-every", "50", "--out", "s.json",
+        ]) == 0
+        written = (first / "s.json").read_text()
+        (first / "s.json").unlink()
+
+        monkeypatch.chdir(other)
+        assert main(["sweep", "--resume", str(first / "s.json.d")]) == 0
+        settings = {k: calls[-1][k] for k in
+                    ("jobs", "timeout", "retries", "checkpoint_every")}
+        assert settings == {"jobs": 2, "timeout": 30.0, "retries": 2,
+                            "checkpoint_every": 50}
+        assert not (other / "s.json").exists()
+        merged = json.loads((first / "s.json").read_text())
+        assert merged["runs"] == json.loads(written)["runs"]
+
+        assert main(["sweep", "--resume", str(first / "s.json.d"),
+                     "--retries", "0"]) == 0
+        assert (calls[-1]["jobs"], calls[-1]["retries"]) == (2, 0)
 
     def test_compare_reports_schema_mismatch(self, tmp_path, capsys):
         versioned = tmp_path / "new.json"
