@@ -613,6 +613,10 @@ class JobQueue:
         self.adopted = 0
         self.breaker = CircuitBreaker(max_pending)
         self.jobs: dict[str, Job] = {}
+        #: request key -> the result dict cache-hit jobs share: every job
+        #: record is kept, so each hit holding its own decoded copy of an
+        #: identical result would grow the server by a copy per request.
+        self._hit_results: dict[str, dict[str, Any]] = {}
         #: poison-quarantined spec keys -> diagnostic bundle path.
         self.poisoned: dict[str, str] = {}
         self.submitted = 0
@@ -846,6 +850,11 @@ class JobQueue:
             cached = self.cache.get(keys[cell])
             if cached is None:  # corrupt entry surfaced mid-check: recompute
                 return False
+            shared = self._hit_results.get(keys[cell])
+            if shared == cached:
+                cached = shared
+            else:
+                self._hit_results[keys[cell]] = cached
             job.partial[f"{cell[0]}/{cell[1]}"] = cached
             job.cache_hits += 1
             job.cells_done += 1
