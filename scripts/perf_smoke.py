@@ -10,10 +10,10 @@ so an accidental re-introduction of per-reference call overhead (the
 exact regression the flattened hot path removed) is caught on every push.
 
 Ceilings are the measured counts plus ~15% headroom for legitimate
-feature growth (reference: ~0.83M calls — ~3.6M before the hot-path
-flattening, ~0.99M before the per-task pipeline worked on block runs;
-vector: ~0.75M, the fused engine inlines the coherence/eviction call
-chains).  If you trip one with a real feature,
+feature growth (reference: ~0.78M calls — ~3.6M before the hot-path
+flattening, ~0.99M before the per-task pipeline worked on block runs,
+~0.83M before the LLC residency mask; vector: ~0.71M, the fused engine
+inlines the coherence/eviction call chains).  If you trip one with a real feature,
 re-measure with ``scripts/profile_simulator.py --json --kernel <k>`` and
 raise the ceiling in the same commit, stating the new measured count.
 
@@ -34,11 +34,14 @@ WORKLOAD = "kmeans"
 POLICY = "tdnuca"
 DENOM = 256
 #: per-kernel measured call counts +15%, rounded up to the thousand.
-#: reference: 831,514 and vector: 749,004 since each task's trace, census
-#: and translation work on block runs (986,446 and 859,571 before).
+#: reference: 783,548 and vector: 707,727 since the LLC answers "which
+#: banks hold this block" from its residency mask and both eviction
+#: paths inline the directory drop and the L1 back-invalidation
+#: (831,514 and 749,004 before; 986,446 and 859,571 before each task's
+#: trace, census and translation worked on block runs).
 CALL_CEILINGS = {
-    "reference": 957_000,
-    "vector": 862_000,
+    "reference": 902_000,
+    "vector": 814_000,
 }
 #: tracing must stay off the per-reference path: a traced run may make at
 #: most 5% more function calls than the identical untraced run (events

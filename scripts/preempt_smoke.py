@@ -7,8 +7,8 @@ End-to-end through the real CLI:
 2. Start the same sweep fresh, SIGTERM it mid-flight (the
    ``harness.worker.slow`` failpoint holds workers long enough for the
    signal to land), and require exit code 75 (``EX_TEMPFAIL``) with a
-   ``sweep_status: "interrupted"`` manifest and no surviving worker
-   processes.
+   ``sweep_status: "interrupted"`` manifest, and no process of the
+   sweep's own tree (template, workers, resource tracker) outliving it.
 3. Resume the sweep and assert the merged JSON equals the uninterrupted
    reference — byte-identical statistics, with only the
    ``resumed_from_task`` markers as the permitted difference.
@@ -26,6 +26,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from service_smoke import _descendants, _running_parents
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED_RUNS = {"md5/snuca", "md5/tdnuca", "knn/snuca", "knn/tdnuca"}
@@ -76,6 +78,8 @@ def main() -> int:
             cwd=ROOT,
         )
         time.sleep(SIGTERM_AFTER)
+        tree = _descendants(proc.pid)
+        assert tree, "a mid-flight sweep should have worker processes"
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=DRAIN_TIMEOUT)
         assert rc == EXIT_PREEMPTED, (
@@ -93,11 +97,9 @@ def main() -> int:
             snap = Path(rec["snapshot"])
             assert snap.exists(), f"{key}: snapshot {snap} missing"
             assert rec["tasks_done"] > 0, rec
-        # The drain joined every worker: no repro process survives ours.
-        alive = subprocess.run(
-            ["pgrep", "-f", "repro.experiments.harness|-m repro sweep"],
-            capture_output=True, text=True,
-        ).stdout.strip()
+        # The drain joined every worker: no process of the sweep's tree
+        # survives it (other processes on the host are not its business).
+        alive = sorted(tree & _running_parents().keys())
         assert not alive, f"orphaned sweep processes survive: {alive}"
 
         # 3. Resume and compare against the uninterrupted reference.

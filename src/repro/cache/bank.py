@@ -101,6 +101,12 @@ class CacheBank:
         # Maintained valid-block counter; audited against the per-set maps
         # by the runtime invariant checker (occupancy-counter balance).
         self._occupancy = 0
+        # LLC residency mask, {block: bit mask of the banks holding it},
+        # shared by every bank of one NucaLLC (which sets both fields);
+        # this bank's bit is ``_bit``.  ``None`` for a bank outside an
+        # LLC, the L1s among them.
+        self._where: dict[int, int] | None = None
+        self._bit = 0
         self.stats = BankStats()
 
     # --- queries (no state change) ---
@@ -200,6 +206,7 @@ class CacheBank:
         ways = self._ways[s]
         repl = self._repl[s]
         fast = self._plru_fast
+        where = self._where
         if len(smap) < self.assoc:
             way = ways.index(None)
             self._occupancy += 1
@@ -214,6 +221,17 @@ class CacheBank:
             st.evictions += 1
             if evicted_dirty:
                 st.dirty_evictions += 1
+            if where is not None:
+                held = where[evicted] ^ self._bit
+                if held:
+                    where[evicted] = held
+                else:
+                    del where[evicted]
+        if where is not None:
+            if block in where:
+                where[block] |= self._bit
+            else:
+                where[block] = self._bit
         ways[way] = block
         smap[block] = way
         self._dirty[s][way] = dirty
@@ -283,6 +301,8 @@ class CacheBank:
         self._dirty[s][way] = False
         self._occupancy -= 1
         self.stats.invalidations += 1
+        if self._where is not None:
+            self._unmask((block,))
         return True, dirty
 
     def flush_blocks_collect(self, blocks) -> list[tuple[int, bool]]:
@@ -306,6 +326,8 @@ class CacheBank:
             append((block, drow[way]))
             ways[s][way] = None
             drow[way] = False
+        if self._where is not None:
+            self._unmask([block for block, _ in removed])
         n = len(removed)
         self._occupancy -= n
         st = self.stats
@@ -313,6 +335,17 @@ class CacheBank:
         # invalidate() counted these in invalidations too; keep both views.
         st.flushed_blocks += n
         return removed
+
+    def _unmask(self, blocks) -> None:
+        """Clear this bank's bit in the residency mask for ``blocks``, each
+        of which this bank held until now (the hot-path fill inlines it)."""
+        where, bit = self._where, self._bit
+        for block in blocks:
+            held = where[block] ^ bit
+            if held:
+                where[block] = held
+            else:
+                del where[block]
 
     def flush_blocks(self, blocks) -> tuple[int, int]:
         """Invalidate every block in ``blocks`` that is resident.
@@ -325,6 +358,9 @@ class CacheBank:
 
     def clear(self) -> None:
         """Drop all contents and reset replacement state (not stats)."""
+        if self._where is not None:
+            for smap in self._map:
+                self._unmask(smap)
         for s in range(self.num_sets):
             self._map[s].clear()
             self._ways[s] = [None] * self.assoc

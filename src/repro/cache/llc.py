@@ -10,6 +10,14 @@ Replication is naturally expressed here: the same physical block may be
 resident in several banks at once (TD-NUCA cluster replicas, R-NUCA
 rotational-interleaving replicas).  Coherence for replicas is enforced by
 the runtime/OS flush operations, mirroring the paper.
+
+Which banks hold a block is answered from a residency mask,
+``{block: bit mask of the banks holding it}`` with bit ``b`` for bank
+``b``: the presence bits the coherence directory keeps for the L1s, kept
+here for the banks.  It is derived state.  Every bank updates it where it
+gains or loses a block (the fused kernel's inline fills too), no snapshot
+stores it, and :meth:`NucaLLC.load_state_dict` rebuilds it.
+``faults/invariants.py`` checks it against the banks' contents.
 """
 
 from __future__ import annotations
@@ -37,6 +45,11 @@ class NucaLLC:
             CacheBank(bank_bytes, assoc, block_bytes, replacement, f"llc.{b}")
             for b in range(num_banks)
         ]
+        #: the residency mask; one entry per block resident in any bank.
+        self._where: dict[int, int] = {}
+        for b, bank in enumerate(self.banks):
+            bank._where = self._where
+            bank._bit = 1 << b
         self._dead: set[int] = set()
 
     @property
@@ -78,27 +91,34 @@ class NucaLLC:
 
     def banks_holding(self, block: int) -> list[int]:
         """All banks where ``block`` is currently resident (replicas)."""
-        return [i for i, b in enumerate(self.banks) if b.contains(block)]
+        held = self._where.get(block, 0)
+        return [b for b in range(len(self.banks)) if held >> b & 1]
 
     def any_bank_holds(self, block: int) -> bool:
         """Whether any bank holds ``block`` — the inclusion check on the
-        eviction path; stops at the first replica instead of building the
-        full :meth:`banks_holding` list."""
-        for b in self.banks:
-            if block in b._map[block & b._set_mask]:
-                return True
-        return False
+        eviction path."""
+        return block in self._where
 
     def invalidate_everywhere(self, block: int) -> tuple[int, int]:
         """Remove ``block`` from every bank; returns (copies, dirty_copies)."""
         copies = dirty = 0
-        for b in self.banks:
-            present, was_dirty = b.invalidate(block)
-            if present:
-                copies += 1
-                if was_dirty:
-                    dirty += 1
+        for b in self.banks_holding(block):
+            _, was_dirty = self.banks[b].invalidate(block)
+            copies += 1
+            if was_dirty:
+                dirty += 1
         return copies, dirty
+
+    def residency(self) -> dict[int, int]:
+        """The residency mask recomputed from the banks' contents (what
+        :attr:`_where` must equal)."""
+        where: dict[int, int] = {}
+        for bank in self.banks:
+            bit = bank._bit
+            for smap in bank._map:
+                for block in smap:
+                    where[block] = where.get(block, 0) | bit
+        return where
 
     def flush_blocks(self, bank: int, blocks) -> tuple[int, int]:
         """Flush ``blocks`` from one bank; returns (flushed, dirty)."""
@@ -135,4 +155,6 @@ class NucaLLC:
             )
         for bank, bstate in zip(self.banks, banks):
             bank.load_state_dict(bstate)
+        self._where.clear()  # in place: the banks share this dict
+        self._where.update(self.residency())
         self._dead = {int(b) for b in state["dead"]}

@@ -1196,7 +1196,10 @@ def cmd_submit(args) -> int:
 
             follower = threading.Thread(target=_follow, daemon=True)
             follower.start()
-        final = client.wait(job["id"], timeout=args.wait_timeout)
+        final = (  # a cache hit is answered on submit
+            job if job["state"] == "done"
+            else client.wait(job["id"], timeout=args.wait_timeout)
+        )
         data = client.result(job["id"])
         if follower is not None:
             follower.join(timeout=5.0)

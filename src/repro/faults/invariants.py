@@ -16,7 +16,10 @@ against a quiescent machine (between tasks):
   every L1-resident line is backed by some live LLC bank.  TD-NUCA is
   exempt by construction: bypassed regions live in L1 with no LLC copy and
   the runtime's flush protocol (not inclusion) guarantees coherence.
-* **no dead-bank residency** — fault-disabled banks hold nothing.
+* **no dead-bank residency** — fault-disabled banks hold nothing;
+* **LLC residency mask** — the LLC's per-block bank mask, which the
+  eviction path reads instead of scanning the banks, names exactly the
+  banks that hold each block.
 
 :class:`InvariantChecker` is driven by the machine in strict mode: cheap
 checks after every task, a full sweep every ``interval`` tasks and at
@@ -139,11 +142,28 @@ def _check_dead_banks(machine, out: list[InvariantViolation]) -> None:
             )
 
 
+def _check_residency_mask(machine, out: list[InvariantViolation]) -> None:
+    where = machine.llc._where
+    actual = machine.llc.residency()
+    if where == actual:
+        return
+    for block in sorted(where.keys() | actual.keys()):
+        mask, held = where.get(block, 0), actual.get(block, 0)
+        if mask != held:
+            out.append(
+                InvariantViolation(
+                    "llc-residency-mask",
+                    f"block {block}: mask {mask:#x} but held by banks {held:#x}",
+                )
+            )
+
+
 def check_machine(machine) -> list[InvariantViolation]:
     """Full invariant sweep over a quiescent machine; [] means clean."""
     out: list[InvariantViolation] = []
     _check_dead_banks(machine, out)
     _check_structure(machine, out)
+    _check_residency_mask(machine, out)
     _check_directory(machine, out)
     _check_inclusion(machine, out)
     return out

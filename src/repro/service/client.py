@@ -26,6 +26,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import sys
 import time
 from typing import Any, Iterable, Iterator
 
@@ -35,6 +36,14 @@ __all__ = ["ServiceClient"]
 
 #: upper bound for one retry sleep (seconds).
 MAX_RETRY_DELAY = 30.0
+
+#: decodes response bodies with every object key interned, so a caller
+#: that keeps many results of one shape holds one copy of each key, not
+#: one per result (a kmeans/snuca result envelope at 1/1024 decodes to
+#: ~4.1 KB instead of ~6.5 KB).
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=lambda pairs: {sys.intern(k): v for k, v in pairs}
+)
 
 
 class ServiceClient:
@@ -104,8 +113,8 @@ class ServiceClient:
         finally:
             conn.close()
         try:
-            envelope = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            envelope = _DECODER.decode(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ServiceError(
                 "internal",
                 f"server returned non-JSON response (status {resp.status})",
@@ -187,13 +196,22 @@ class ServiceClient:
     def wait(
         self, job_id: str, *, timeout: float = 300.0, poll: float = 0.1
     ) -> dict[str, Any]:
-        """Poll until the job settles; returns the final job record.
+        """Wait until the job settles; returns the final job record.
 
+        Follows the job's event stream, which the server ends as the job
+        settles, then reads the record once.  Only if the stream cannot
+        be opened or drops does it poll the record every ``poll`` seconds.
         A ``failed`` job raises its stored typed error; ``preempted``
         raises a retryable ``draining`` error (resubmit to a live server —
         the cache and spool make the retry cheap).
         """
         deadline = time.monotonic() + timeout
+        try:
+            for _ in self._events(job_id, min(self.timeout, timeout)):
+                if time.monotonic() >= deadline:
+                    break
+        except (ServiceError, OSError, http.client.HTTPException, ValueError):
+            pass  # no stream, or it broke off mid-line: poll the record
         while True:
             job = self.job(job_id)
             state = job["state"]
@@ -222,12 +240,18 @@ class ServiceClient:
         connection surfaces to the caller (events are progress telemetry,
         and replaying them from another host would duplicate history).
         """
+        return self._events(job_id, self.timeout)
+
+    def _events(
+        self, job_id: str, timeout: float
+    ) -> Iterator[dict[str, Any]]:
+        """:meth:`iter_events` with ``timeout`` as the socket timeout."""
         attempt = 0
         prev_delay: float | None = None
         while True:
             attempt += 1
             conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
+                self.host, self.port, timeout=timeout
             )
             try:
                 conn.request("GET", f"/v1/jobs/{job_id}/events")

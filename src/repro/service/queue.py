@@ -66,6 +66,7 @@ failpoint registry (:mod:`repro.failpoints`).
 from __future__ import annotations
 
 import asyncio
+import collections
 import hashlib
 import json
 import random
@@ -97,6 +98,12 @@ __all__ = [
 #: job states.  ``preempted`` is terminal for this server instance but not
 #: for the work: the snapshot in the spool resumes it on resubmission.
 JOB_STATES = ("queued", "running", "done", "failed", "preempted")
+#: the states that count toward :meth:`JobQueue.depth`.
+LIVE_STATES = ("queued", "running")
+#: finished job records a server keeps for status and result queries;
+#: past this many the oldest is retired, so a long-running server's job
+#: table (and its memory) stops growing with the requests it has served.
+KEEP_FINISHED = 1024
 
 
 def _machine_spec(scale: int, mesh, cluster, rrt_entries):
@@ -405,10 +412,11 @@ def spec_from_dict(raw: dict[str, Any]) -> RunSpec | SweepSpec:
 class EventBuffer:
     """Thread-safe, bounded, cursor-addressed progress feed.
 
-    Worker threads append; the NDJSON endpoint reads with
-    :meth:`since` and polls until :attr:`closed`.  Past ``capacity`` the
-    oldest events are discarded (counted in :attr:`dropped`) — a slow
-    consumer can lose history, never correctness.
+    Worker threads and the event loop append; the NDJSON endpoint reads
+    with :meth:`since` and, once it has caught up, awaits :meth:`wait`
+    until the next event or :meth:`close`.  Past ``capacity`` the oldest
+    events are discarded (counted in :attr:`dropped`) — a slow consumer
+    can lose history, never correctness.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -420,6 +428,8 @@ class EventBuffer:
         self._base = 0  # cursor of _items[0]
         self._lock = threading.Lock()
         self._closed = False
+        #: coroutines parked in :meth:`wait`, each with its event loop.
+        self._waiters: list[tuple[asyncio.AbstractEventLoop, asyncio.Future]] = []
 
     def append(self, item: dict[str, Any]) -> None:
         with self._lock:
@@ -429,21 +439,51 @@ class EventBuffer:
                 del self._items[:overflow]
                 self._base += overflow
                 self.dropped += overflow
+            waiters, self._waiters = self._waiters, []
+        _wake(waiters)
 
     def since(self, cursor: int) -> tuple[list[dict[str, Any]], int]:
-        """Events at or after ``cursor`` plus the next cursor to poll from."""
+        """Events at or after ``cursor`` plus the next cursor to read from."""
         with self._lock:
             start = max(0, cursor - self._base)
             items = self._items[start:]
             return items, self._base + len(self._items)
 
+    async def wait(self, cursor: int) -> None:
+        """Return once an event at or after ``cursor`` exists or the buffer
+        is closed.  The check and the registration share the lock with
+        :meth:`append` and :meth:`close`, so no wake-up falls between."""
+        loop = asyncio.get_running_loop()
+        with self._lock:
+            if self._closed or self._base + len(self._items) > cursor:
+                return
+            fut = loop.create_future()
+            self._waiters.append((loop, fut))
+        await fut
+
     def close(self) -> None:
         with self._lock:
             self._closed = True
+            waiters, self._waiters = self._waiters, []
+        _wake(waiters)
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+
+def _wake(waiters: list[tuple[asyncio.AbstractEventLoop, asyncio.Future]]) -> None:
+    """Resolve parked :meth:`EventBuffer.wait` futures from any thread."""
+    for loop, fut in waiters:
+        try:
+            loop.call_soon_threadsafe(_resolve, fut)
+        except RuntimeError:  # that loop is closed: nobody is waiting
+            pass
+
+
+def _resolve(fut: asyncio.Future) -> None:
+    if not fut.done():  # a cancelled waiter (the client went away)
+        fut.set_result(None)
 
 
 @dataclass
@@ -613,9 +653,15 @@ class JobQueue:
         self.adopted = 0
         self.breaker = CircuitBreaker(max_pending)
         self.jobs: dict[str, Job] = {}
-        #: request key -> the result dict cache-hit jobs share: every job
-        #: record is kept, so each hit holding its own decoded copy of an
-        #: identical result would grow the server by a copy per request.
+        #: ids of the jobs in :data:`LIVE_STATES`, kept at every state
+        #: change, so :meth:`depth` never scans :attr:`jobs`.
+        self._live: set[str] = set()
+        #: ids of finished jobs, oldest first; past :data:`KEEP_FINISHED`
+        #: the oldest leaves :attr:`jobs`.
+        self._finished: collections.deque[str] = collections.deque()
+        #: request key -> the result dict cache-hit jobs share, so that
+        #: hits of one key do not each hold a decoded copy; at most
+        #: :data:`KEEP_FINISHED` keys, the oldest dropped first.
         self._hit_results: dict[str, dict[str, Any]] = {}
         #: poison-quarantined spec keys -> diagnostic bundle path.
         self.poisoned: dict[str, str] = {}
@@ -703,12 +749,9 @@ class JobQueue:
                 break
             await asyncio.sleep(0.05)
         stopped = 0
-        for job in self.jobs.values():
-            if job.state in ("queued", "running"):
-                job.state = "preempted"
-                job.events.append({"kind": "preempted", "reason": "draining"})
-                job.events.close()
-                self.preempted += 1
+        for job in list(self.jobs.values()):  # settling may retire records
+            if job.state in LIVE_STATES:
+                self._preempt(job)
                 stopped += 1
             elif job.state == "preempted":
                 stopped += 1
@@ -736,9 +779,8 @@ class JobQueue:
     # ------------------------------------------------------------------
 
     def depth(self) -> int:
-        return sum(
-            1 for j in self.jobs.values() if j.state in ("queued", "running")
-        )
+        """Jobs queued or running (the breaker's backlog)."""
+        return len(self._live)
 
     def submit(self, spec: RunSpec | SweepSpec) -> Job:
         """Admit a job (or answer it from cache); raises :class:`ServiceError`.
@@ -781,6 +823,7 @@ class JobQueue:
         self.breaker.admit(self.depth())
         self.submitted += 1
         self.jobs[job.id] = job
+        self._set_state(job, "queued")
         job.events.append({"kind": "queued", "label": spec.label})
         if self.fleet is not None:
             # Visible in this host's fleet queue shard from this moment:
@@ -793,7 +836,11 @@ class JobQueue:
     def get(self, job_id: str) -> Job:
         job = self.jobs.get(job_id)
         if job is None:
-            raise ServiceError("not-found", f"unknown job id {job_id!r}")
+            raise ServiceError(
+                "not-found",
+                f"unknown job id {job_id!r} (this server keeps the records "
+                f"of its last {KEEP_FINISHED} finished jobs)",
+            )
         return job
 
     def stats(self) -> dict[str, Any]:
@@ -855,6 +902,8 @@ class JobQueue:
                 cached = shared
             else:
                 self._hit_results[keys[cell]] = cached
+                if len(self._hit_results) > KEEP_FINISHED:
+                    del self._hit_results[next(iter(self._hit_results))]
             job.partial[f"{cell[0]}/{cell[1]}"] = cached
             job.cache_hits += 1
             job.cells_done += 1
@@ -962,6 +1011,7 @@ class JobQueue:
         )
         self.adopted += 1
         self.jobs[job.id] = job
+        self._set_state(job, "queued")
         job.events.append(
             {"kind": "adopted", "origin": origin, "epoch": handle.epoch,
              "key": handle.key}
@@ -973,7 +1023,7 @@ class JobQueue:
         self._ready.put_nowait(job.id)
 
     async def _run_job(self, job: Job) -> None:
-        job.state = "running"
+        self._set_state(job, "running")
         if job.started is None:
             job.started = time.time()
         try:
@@ -1000,12 +1050,7 @@ class JobQueue:
         poll = max(0.05, min(0.5, self.fleet.lease_timeout / 10))
         while True:
             if self.draining:
-                job.state = "preempted"
-                job.events.append(
-                    {"kind": "preempted", "reason": "draining"}
-                )
-                job.events.close()
-                self.preempted += 1
+                self._preempt(job)
                 return False
             if self.cache is not None and self._cache_fast_path(job):
                 self.fleet.remove_queue_entry(key)
@@ -1094,14 +1139,8 @@ class JobQueue:
     def _classify_preemption(self, job: Job, exc: PreemptedError) -> None:
         """Settle (drain/timeout) or requeue (eviction) a preempted job."""
         if self.draining:
-            job.state = "preempted"
-            job.events.append(
-                {"kind": "preempted", "reason": "draining",
-                 "snapshot": str(exc.path),
-                 "tasks_completed": exc.tasks_completed}
-            )
-            job.events.close()
-            self.preempted += 1
+            self._preempt(job, snapshot=str(exc.path),
+                          tasks_completed=exc.tasks_completed)
             return
         if self.timeout is not None and job.spent >= self.timeout:
             # Budget exhausted — but the snapshot stays in the spool, so a
@@ -1119,7 +1158,7 @@ class JobQueue:
         job.attempts -= 1
         job.evictions += 1
         self.evicted += 1
-        job.state = "queued"
+        self._set_state(job, "queued")
         job.events.append(
             {"kind": "evicted", "snapshot": str(exc.path),
              "tasks_completed": exc.tasks_completed}
@@ -1176,12 +1215,7 @@ class JobQueue:
         })
         if self.draining:
             if job.state == "running":
-                job.state = "preempted"
-                job.events.append(
-                    {"kind": "preempted", "reason": "draining"}
-                )
-                job.events.close()
-                self.preempted += 1
+                self._preempt(job)
             return False
         if died.reason == "hard-timeout":
             self._fail(job, ServiceError(
@@ -1249,9 +1283,29 @@ class JobQueue:
             f"at {bundle_path}",
         ))
 
+    def _set_state(self, job: Job, state: str) -> None:
+        """Move ``job`` to ``state``, keeping :meth:`depth`'s live set and
+        retiring the oldest finished record past :data:`KEEP_FINISHED`."""
+        job.state = state
+        if state in LIVE_STATES:
+            self._live.add(job.id)
+            return
+        self._live.discard(job.id)
+        self._finished.append(job.id)
+        if len(self._finished) > KEEP_FINISHED:
+            self.jobs.pop(self._finished.popleft(), None)
+
+    def _preempt(self, job: Job, **detail: Any) -> None:
+        """Settle ``job`` as preempted by the drain; ``detail`` joins its
+        ``preempted`` event."""
+        self._set_state(job, "preempted")
+        job.events.append({"kind": "preempted", "reason": "draining", **detail})
+        job.events.close()
+        self.preempted += 1
+
     def _finish_ok(self, job: Job) -> None:
         job.result = self._assemble_result(job)
-        job.state = "done"
+        self._set_state(job, "done")
         job.finished = time.time()
         self.completed += 1
         job.events.append(
@@ -1262,7 +1316,7 @@ class JobQueue:
 
     def _fail(self, job: Job, err: ServiceError) -> None:
         job.error = err.to_dict()
-        job.state = "failed"
+        self._set_state(job, "failed")
         job.finished = time.time()
         self.failed += 1
         job.events.append({"kind": "failed", "error": job.error})

@@ -365,11 +365,11 @@ class ServiceServer:
         cursor = 0
         while True:
             items, cursor = job.events.since(cursor)
-            for item in items:
-                writer.write(line(item))
             if items:
+                for item in items:
+                    writer.write(line(item))
                 await writer.drain()
-            if job.events.closed and not items:
+            elif job.events.closed:
                 break
-            if not items:
-                await asyncio.sleep(0.05)
+            else:
+                await job.events.wait(cursor)

@@ -106,7 +106,7 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
     l1_dirty = l1._dirty
     l1_repl = l1._repl
     llc_banks = m.llc.banks
-    llc_set_maps = [bo._map for bo in llc_banks]
+    llc_where = m.llc._where
     llc_mask = llc_banks[0]._set_mask
     llc_assoc = llc_banks[0].assoc
     dist_rows = m.mesh.dist_rows
@@ -114,7 +114,6 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
     policy = m.policy
     directory = m.directory
     on_l1_fill = directory.on_l1_fill
-    drop_block = directory.drop_block
     d_sharers = directory._sharers
     d_owner = directory._owner
     d_stats = directory.stats
@@ -185,6 +184,8 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
     l1_evs = 0
     d_row_hits = 0
 
+    l1s = m.l1s
+
     def evict(bank_, victim, dirty):
         """Inlined ``Machine._llc_eviction`` (fault-free, no D-NUCA)."""
         dist_bank = dist_rows[bank_]
@@ -204,19 +205,39 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
             m._acc_messages += 1
             acc_cb[_WRITEBACK] += data_bytes
             energy.dram_accesses += 1
-        vs = victim & llc_mask
-        for sets in llc_set_maps:
-            if victim in sets[vs]:
-                return
-        for core_ in drop_block(victim):
+        if victim in llc_where:
+            return
+        if victim in d_owner:
+            del d_owner[victim]
+        if victim not in d_sharers:
+            return
+        sharers = d_sharers[victim]
+        del d_sharers[victim]
+        while sharers:
+            low = sharers & -sharers
+            sharers ^= low
+            core_ = low.bit_length() - 1
+            d_stats.invalidations_sent += 1
             routers = dist_bank[core_] + 1
             m._acc_router_bytes += 2 * CONTROL_BYTES * routers
             m._acc_flit_hops += 2 * ctrl_flits * routers
             m._acc_messages += 2
             acc_cb[_INVALIDATION] += CONTROL_BYTES
             acc_cb[_ACK] += CONTROL_BYTES
-            present, was_dirty = m.l1s[core_].invalidate(victim)
-            if present and was_dirty:
+            vl1 = l1s[core_]
+            vs = victim & vl1._set_mask
+            vmap = vl1._map[vs]
+            if victim not in vmap:
+                continue
+            vway = vmap[victim]
+            del vmap[victim]
+            vl1._ways[vs][vway] = None
+            vrow = vl1._dirty[vs]
+            was_dirty = vrow[vway]
+            vrow[vway] = False
+            vl1._occupancy -= 1
+            vl1.stats.invalidations += 1
+            if was_dirty:
                 dst.writes += 1
                 mcix = victim % dram_n_mc
                 row = victim // dram_row_blocks
@@ -359,7 +380,13 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
                     dram_open[mcix] = row
                     cycles += dram_miss_cyc
                 dram_units += dist_rows[bank][dram_tiles[mcix]] + 1
-                # Inlined CacheBank._insert(block, False).
+                # Inlined CacheBank._insert(block, False), residency
+                # mask included.
+                bit = bank_obj._bit
+                if block in llc_where:
+                    llc_where[block] |= bit
+                else:
+                    llc_where[block] = bit
                 bways = bank_obj._ways[bs]
                 repl = bank_obj._repl[bs]
                 if len(bmap) < llc_assoc:
@@ -376,6 +403,11 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
                     evicted = bways[bway]
                     evicted_dirty = bank_obj._dirty[bs][bway]
                     del bmap[evicted]
+                    held = llc_where[evicted] ^ bit
+                    if held:
+                        llc_where[evicted] = held
+                    else:
+                        del llc_where[evicted]
                     bst = bank_obj.stats
                     bst.evictions += 1
                     if evicted_dirty:
@@ -457,6 +489,11 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
                     ) & wrepl._and[wway]
                 else:
                     wb_obj.stats.misses += 1
+                    bit = wb_obj._bit
+                    if ev_l1 in llc_where:
+                        llc_where[ev_l1] |= bit
+                    else:
+                        llc_where[ev_l1] = bit
                     wways = wb_obj._ways[ws]
                     wrepl = wb_obj._repl[ws]
                     if len(wmap) < llc_assoc:
@@ -473,6 +510,11 @@ def _run_fused(m, core, pblocks, writes, compute_per_access):
                         ev2 = wways[wway]
                         ev2_dirty = wb_obj._dirty[ws][wway]
                         del wmap[ev2]
+                        held = llc_where[ev2] ^ bit
+                        if held:
+                            llc_where[ev2] = held
+                        else:
+                            del llc_where[ev2]
                         wst = wb_obj.stats
                         wst.evictions += 1
                         if ev2_dirty:

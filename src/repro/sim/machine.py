@@ -500,25 +500,54 @@ class Machine:
             self._acc_messages += 1
             acc_cb[_WRITEBACK] += data_bytes
             self.energy.dram_accesses += 1
-        # Inclusive LLC: if no other bank holds a replica, L1 copies must go.
-        if not self.llc.any_bank_holds(victim):
-            ctrl_flits = self._ctrl_flits
-            for core in self.directory.drop_block(victim):
-                routers = dist_bank[core] + 1
-                self._acc_router_bytes += 2 * CONTROL_BYTES * routers
-                self._acc_flit_hops += 2 * ctrl_flits * routers
-                self._acc_messages += 2
-                acc_cb[_INVALIDATION] += CONTROL_BYTES
-                acc_cb[_ACK] += CONTROL_BYTES
-                present, was_dirty = self.l1s[core].invalidate(victim)
-                if present and was_dirty:
-                    mc, _ = self.dram.write(victim)
-                    routers = self.mesh.dist_rows[core][mc] + 1
-                    self._acc_router_bytes += data_bytes * routers
-                    self._acc_flit_hops += data_flits * routers
-                    self._acc_messages += 1
-                    acc_cb[_WRITEBACK] += data_bytes
-                    self.energy.dram_accesses += 1
+        # Inclusive LLC: if no other bank holds a replica (the residency
+        # mask answers), L1 copies must go.  CoherenceDirectory.drop_block
+        # and L1Cache.invalidate are inlined: LLC fills evict constantly.
+        if victim in self.llc._where:
+            return
+        directory = self.directory
+        owners = directory._owner
+        if victim in owners:
+            del owners[victim]
+        sharers = directory._sharers
+        if victim not in sharers:
+            return
+        mask = sharers[victim]
+        del sharers[victim]
+        ctrl_flits = self._ctrl_flits
+        d_stats = directory.stats
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            core = low.bit_length() - 1
+            d_stats.invalidations_sent += 1
+            routers = dist_bank[core] + 1
+            self._acc_router_bytes += 2 * CONTROL_BYTES * routers
+            self._acc_flit_hops += 2 * ctrl_flits * routers
+            self._acc_messages += 2
+            acc_cb[_INVALIDATION] += CONTROL_BYTES
+            acc_cb[_ACK] += CONTROL_BYTES
+            l1 = self.l1s[core]
+            s = victim & l1._set_mask
+            smap = l1._map[s]
+            if victim not in smap:
+                continue
+            way = smap[victim]
+            del smap[victim]
+            l1._ways[s][way] = None
+            drow = l1._dirty[s]
+            was_dirty = drow[way]
+            drow[way] = False
+            l1._occupancy -= 1
+            l1.stats.invalidations += 1
+            if was_dirty:
+                mc, _ = self.dram.write(victim)
+                routers = self.mesh.dist_rows[core][mc] + 1
+                self._acc_router_bytes += data_bytes * routers
+                self._acc_flit_hops += data_flits * routers
+                self._acc_messages += 1
+                acc_cb[_WRITEBACK] += data_bytes
+                self.energy.dram_accesses += 1
 
     # ------------------------------------------------------------------
     # flush execution (tdnuca_flush and R-NUCA reclassification)
@@ -586,24 +615,30 @@ class Machine:
 
     def _flush_llc(self, blocks: list[int], banks) -> tuple[int, int]:
         """Flush ``blocks`` from the named LLC banks.  Every bank is charged
-        a tag probe per block; only the blocks a bank holds (its set maps
-        answer that exactly) go through the removal and writeback path,
-        in (bank, block) order."""
+        a tag probe per block; only the blocks a bank holds go through the
+        removal and writeback path, in (bank, block) order.  The blocks are
+        visited once: the residency mask names the banks holding each."""
         obs = self.obs
         if obs is not None:
             obs.flush_begin("llc", banks, len(blocks))
         flushed = dirty_total = 0
         energy = self.energy
         energy.llc_tag_probes += len(blocks) * len(banks)
+        where = self.llc._where
+        wanted = holders = 0
+        for bank in banks:
+            wanted |= 1 << bank
+        held = [(block, where[block] & wanted) for block in blocks if block in where]
+        for _, m in held:
+            holders |= m
         llc_banks = self.llc.banks
         for bank in banks:
-            bank_obj = llc_banks[bank]
-            sets = bank_obj._map
-            set_mask = bank_obj._set_mask
-            held = [block for block in blocks if block in sets[block & set_mask]]
-            if not held:
+            if not holders >> bank & 1:
                 continue
-            removed = bank_obj.flush_blocks_collect(held)
+            bank_obj = llc_banks[bank]
+            removed = bank_obj.flush_blocks_collect(
+                [block for block, m in held if m >> bank & 1]
+            )
             flushed += len(removed)
             dist_bank = self.mesh.dist_rows[bank]
             for block, dirty in removed:

@@ -94,7 +94,16 @@ PRELOAD = [
     "repro.obs",
     "repro.sim.kernels.vector",
     "numpy.random",
+    "multiprocessing.sharedctypes",  # unpickles the heartbeat array
 ]
+
+#: the directory ``repro`` was imported from, which the template is
+#: pointed at (see :func:`fork_attempt`).
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: the pid of the process that imported this module: in an attempt
+#: forked from a preloaded template, the template's.
+IMPORTED_BY = os.getpid()
 
 #: error classes retrying cannot fix: deterministic programming or
 #: configuration mistakes.  Everything else — worker crashes, timeouts,
@@ -134,10 +143,27 @@ _forked: set[multiprocessing.process.BaseProcess] = set()
 
 def fork_attempt(proc: multiprocessing.process.BaseProcess) -> None:
     """Start ``proc`` (a ``forkserver``-context process) from the template,
-    starting the template first if none is running."""
+    starting the template first if none is running.
+
+    The template imports :data:`PRELOAD` under the environment of its
+    start, and nothing else tells it where ``repro`` is: the stdlib
+    template is handed the launcher's ``sys.path`` but does not apply it
+    (CPython 3.11), and it ignores a preload that fails to import.  So
+    ``PYTHONPATH`` names the package root while the template may start.
+    """
     with _lock:
         forkserver.set_forkserver_preload(PRELOAD)
-        proc.start()
+        saved = os.environ.get("PYTHONPATH")
+        paths = saved.split(os.pathsep) if saved else []
+        if _PACKAGE_ROOT not in paths:
+            os.environ["PYTHONPATH"] = os.pathsep.join([_PACKAGE_ROOT, *paths])
+        try:
+            proc.start()
+        finally:
+            if saved is None:
+                os.environ.pop("PYTHONPATH", None)
+            else:
+                os.environ["PYTHONPATH"] = saved
         _forked.add(proc)
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
 
 from repro.api import Session
 from repro.config import scaled_config
+from repro.service import queue as queue_module
 from repro.service.cache import ResultCache, request_key
 from repro.service.envelope import ServiceError
 from repro.service.queue import (
@@ -27,6 +29,7 @@ from repro.service.queue import (
     SweepSpec,
     spec_from_dict,
 )
+from repro.snapshot import PreemptedError
 
 SCALE = 2048
 CFG = scaled_config(1 / SCALE)
@@ -115,6 +118,54 @@ class TestEventBuffer:
         items, _ = buf.since(0)
         assert [i["n"] for i in items] == [4, 5, 6]
         assert buf.dropped == 4
+
+    def test_wait_returns_at_once_when_behind_or_closed(self):
+        buf = EventBuffer()
+        buf.append({"n": 1})
+
+        async def go():
+            await asyncio.wait_for(buf.wait(0), 1.0)  # event 0 is there
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(buf.wait(1), 0.05)
+            buf.close()
+            await asyncio.wait_for(buf.wait(1), 1.0)
+
+        run_async(go())
+
+    def test_wait_wakes_on_append_and_close_from_other_threads(self):
+        buf = EventBuffer()
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            woke = []
+            for cursor, act in ((0, lambda: buf.append({"n": 0})),
+                                (1, buf.close)):
+                # The other thread acts 50 ms into the wait; the waiter
+                # must wake then, well before its 5 s timeout.
+                timer = threading.Timer(0.05, act)
+                t0 = loop.time()
+                timer.start()
+                await asyncio.wait_for(buf.wait(cursor), 5.0)
+                woke.append(loop.time() - t0)
+                timer.join()
+            return woke
+
+        woke = run_async(go())
+        assert all(0.04 <= w < 1.0 for w in woke), woke
+        assert buf.closed
+        assert buf._waiters == []
+
+    def test_cancelled_waiter_is_skipped_by_the_wake_up(self):
+        buf = EventBuffer()
+
+        async def go():
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(buf.wait(0), 0.01)
+            buf.append({"n": 0})  # resolves nothing, raises nothing
+            await asyncio.sleep(0)
+
+        run_async(go())
+        assert buf._waiters == []
 
 
 class TestCircuitBreaker:
@@ -398,3 +449,108 @@ class TestTimeout:
         assert "resume" in job.error["message"]
         # The snapshot survives so a resubmission resumes, not restarts.
         assert list(queue.spool.glob("*.snap"))
+
+
+class TestJobTable:
+    def test_running_count_matches_a_full_scan_at_every_step(self, tmp_path):
+        """``depth()`` is a count kept at state changes; after hits, cold
+        runs, a failure, a retry, an eviction and a drain it still equals
+        a scan of every job ever submitted."""
+        queue = make_queue(tmp_path, retries=1, backoff=0.0)
+        attempts: dict[str, int] = {}
+        hold = threading.Event()
+
+        def attempt(job, budget):
+            spec = job.spec
+            n = attempts[spec.label] = attempts.get(spec.label, 0) + 1
+            if spec.workload == "knn":  # held until the drain
+                hold.wait(10.0)
+            if spec.policy == "rnuca":
+                raise ValueError("deterministic failure")
+            if spec.policy == "snuca" and n == 1:
+                raise RuntimeError("transient failure")
+            if spec.policy == "dnuca" and n == 1:
+                raise PreemptedError(tmp_path / "evicted.snap", 3)
+            result = {"makespan_cycles": n}
+            queue.cache.put(
+                request_key(spec.config(), spec.workload, spec.policy,
+                            spec.seed),
+                result,
+            )
+            job.partial[spec.label] = result
+            job.cells_done += 1
+            job.simulated += 1
+
+        queue._attempt = attempt
+        live = ("queued", "running")
+
+        def check(expected):
+            scan = sum(1 for j in queue.jobs.values() if j.state in live)
+            assert queue.depth() == scan == expected
+            assert queue.stats()["depth"] == expected
+
+        async def go():
+            await queue.start()
+            check(0)
+            cold = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            check(1)
+            await wait_settled(cold)
+            check(0)
+            for _ in range(3):  # cache hits settle inside submit
+                assert queue.submit(
+                    RunSpec("md5", "tdnuca", scale=SCALE)
+                ).state == "done"
+                check(0)
+            jobs = [queue.submit(RunSpec("md5", policy, scale=SCALE))
+                    for policy in ("rnuca", "snuca", "dnuca")]
+            check(3)
+            for job in jobs:
+                await wait_settled(job)
+            check(0)
+            assert [j.state for j in jobs] == ["failed", "done", "done"]
+            assert jobs[1].attempts == 2 and jobs[2].evictions == 1
+            held = [queue.submit(RunSpec("knn", policy, scale=SCALE))
+                    for policy in ("tdnuca", "snuca")]
+            while held[0].state != "running":
+                await asyncio.sleep(0.01)
+            check(2)
+            assert await queue.drain(grace=0.2) == 2
+            check(0)
+            return held
+
+        try:
+            held = run_async(go())
+        finally:
+            hold.set()
+        assert [j.state for j in held] == ["preempted", "preempted"]
+        assert all(j.events.closed for j in queue.jobs.values())
+
+    def test_finished_records_and_shared_results_stay_within_the_cap(
+        self, tmp_path, monkeypatch
+    ):
+        """Thousands of cache hits leave at most ``KEEP_FINISHED`` finished
+        records and shared results; a retired id is a typed not-found
+        that names the retention."""
+        monkeypatch.setattr(queue_module, "KEEP_FINISHED", 40)
+        queue = make_queue(tmp_path)
+        specs = [RunSpec("md5", "tdnuca", scale=SCALE, seed=s)
+                 for s in range(100)]
+        for spec in specs:
+            key = request_key(spec.config(), "md5", "tdnuca", spec.seed)
+            queue.cache.put(key, {"seed": spec.seed})
+
+        async def go():
+            await queue.start()
+            return [queue.submit(spec) for _ in range(20) for spec in specs]
+
+        jobs = run_async(go())
+        assert len(jobs) == 2000
+        assert all(job.state == "done" for job in jobs)
+        assert list(queue.jobs) == [job.id for job in jobs[-40:]]
+        assert len(queue._hit_results) == 40
+        assert queue.get(jobs[-1].id).result == {"seed": 99}
+        with pytest.raises(ServiceError) as exc:
+            queue.get(jobs[0].id)
+        assert exc.value.type == "not-found"
+        assert "last 40 finished jobs" in exc.value.message
+        assert queue.stats()["submitted"] == 2000

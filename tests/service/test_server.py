@@ -185,6 +185,33 @@ class TestRunLifecycle:
         data = client.result(job["id"])
         assert set(data["result"]["runs"]) == {"md5/snuca", "md5/tdnuca"}
 
+    def test_wait_follows_the_stream_and_reads_the_record_once(self, served):
+        client = ServiceClient(port=served.port)
+        calls = []
+        request = client.request
+
+        def counting(method, path, body=None):
+            calls.append((method, path))
+            return request(method, path, body)
+
+        client.request = counting
+        job = client.submit_scenario(cell("lu", "tdnuca"))  # runs ~1 s
+        assert job["state"] != "done"
+        final = client.wait(job["id"])
+        assert final["state"] == "done" and final["simulated"] == 1
+        assert calls.count(("GET", f"/v1/jobs/{job['id']}")) == 1
+
+    def test_wait_polls_when_the_stream_drops(self, served, monkeypatch):
+        client = ServiceClient(port=served.port)
+
+        def dropped(job_id, timeout):
+            yield {"ok": True}
+            raise ConnectionResetError("stream dropped")
+
+        monkeypatch.setattr(client, "_events", dropped)
+        job = client.submit_scenario(cell("md5", "snuca"))
+        assert client.wait(job["id"])["state"] == "done"
+
     def test_events_stream_hello_then_lifecycle(self, served):
         client = ServiceClient(port=served.port)
         job = client.submit_scenario(cell("md5", "tdnuca"))

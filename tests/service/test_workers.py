@@ -13,6 +13,7 @@ a worker respawns, so cross-attempt injection uses context filters —
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import json
 import os
@@ -21,9 +22,11 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import failpoints
 from repro.api import Session
 from repro.config import scaled_config
@@ -125,6 +128,44 @@ class TestForkedLaunch:
         assert job.simulated == 2
         pids = {p.pid for p in procs}
         assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_template_preloads_repro_reached_only_through_sys_path(
+        self, tmp_path
+    ):
+        """A launcher that finds ``repro`` through ``sys.path`` alone (no
+        ``PYTHONPATH``) still gets a template that imported it: the
+        attempt's ``repro.template`` was imported by its parent."""
+        (tmp_path / "probe_body.py").write_text(
+            "import os\n"
+            "import sys\n"
+            "from repro import template\n\n"
+            "def report(attempt):\n"
+            "    missing = [m for m in template.PRELOAD if m not in sys.modules]\n"
+            "    stamp = getattr(template, 'IMPORTED_BY', None)\n"
+            "    return os.getpid(), stamp, missing\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path[:0] = [{str(src)!r}, {str(tmp_path)!r}]\n"
+            "from repro import template\n"
+            "import probe_body\n"
+            "handle = template.launch(probe_body.report, {'label': 'probe', "
+            "'attempt': 1, 'start_sites': [], 'checkpoints': False})\n"
+            "print(repr(handle.supervise(None, grace=1.0)))\n"
+            "template.stop_idle_template()\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        verdict = ast.literal_eval(out.stdout.strip().splitlines()[-1])
+        assert verdict[0] == "ok", verdict
+        pid, imported_by, missing = verdict[1]
+        assert not missing, f"the template did not preload {missing}"
+        assert imported_by not in (None, pid), "the attempt imported repro"
 
     def test_attempt_for_a_dead_server_exits_98_before_simulating(
         self, tmp_path, monkeypatch

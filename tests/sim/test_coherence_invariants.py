@@ -7,11 +7,17 @@ MESI invariants must hold machine-wide:
 * directory-owner consistency: a dirty L1 block's directory owner is that
   core;
 * inclusivity: an L1-resident block is resident in (some bank of) the LLC
-  under S-NUCA (no bypass, no replication drops).
+  under S-NUCA (no bypass, no replication drops);
+* the LLC residency mask names exactly the banks holding each block, and
+  the whole invariant checker passes, under every policy and both kernels.
 """
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults.invariants import check_machine
 from repro.sim.machine import build_machine
 
 from tests.conftest import tiny_config
@@ -91,3 +97,15 @@ def test_counters_consistent(trace):
     # Every LLC demand miss fetched from DRAM (plus write-allocate fills
     # from writebacks can also read DRAM, so >=).
     assert m.dram.stats.reads >= llc.misses - llc.dirty_evictions - llc.invalidations
+
+
+@pytest.mark.parametrize("kernel", ["reference", "vector"])
+@pytest.mark.parametrize("policy", ["snuca", "rnuca", "dnuca", "tdnuca"])
+@given(trace=accesses)
+@settings(max_examples=25, deadline=None)
+def test_residency_mask_and_checker_hold(policy, kernel, trace):
+    cfg = replace(tiny_config(), kernel=kernel)
+    m = build_machine(cfg, policy, fragmentation=0.0)
+    apply_trace(m, trace)
+    assert m.llc._where == m.llc.residency()
+    assert check_machine(m) == []
