@@ -52,7 +52,7 @@ from repro.config import SystemConfig, paper_config, scaled_config
 from repro.deps import DepMode
 from repro.scenario import Scenario, ScenarioError, load_scenario, scenario_names
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Session",

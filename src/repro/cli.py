@@ -34,7 +34,12 @@ import time
 from repro.api import Session, run_scenario
 from repro.experiments import figures
 from repro.obs.observer import DEFAULT_SAMPLE_EVERY
-from repro.scenario import ScenarioError, load_scenario, scenario_names
+from repro.scenario import (
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+    scenario_names,
+)
 from repro.scenario.model import MachineSpec, Scenario, _parse_geometry
 from repro.sim.machine import POLICIES
 from repro.stats.report import fault_report_rows, format_table
@@ -811,6 +816,8 @@ def _sweep_execution(args, recorded: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    import dataclasses
+
     from repro.experiments import harness
     from repro.experiments.serialize import sweep_to_json
     from repro.ioutils import atomic_write
@@ -820,69 +827,60 @@ def cmd_sweep(args) -> int:
         run_dir = args.resume
         manifest = harness.load_manifest(run_dir)
         req = manifest.get("request", {})
-        scale = req.get("scale", args.scale)
-        mesh = tuple(req.get("mesh") or (4, 4))
-        cluster = tuple(req.get("cluster") or (2, 2))
-        # Rebuild through Scenario so a resumed sweep compiles the exact
-        # config (geometry, latency table, faults) the original one did.
+        if "scenario" not in req:
+            print(
+                f"error: {run_dir} was written by repro 3.x (its manifest "
+                "records no scenario) and cannot be resumed by 4.0; re-run "
+                "the sweep"
+            )
+            return 2
+        try:
+            scenario = parse_scenario(
+                req["scenario"], source=f"{run_dir}/manifest.json"
+            )
+        except ScenarioError as exc:
+            print(f"error: {exc}")
+            return 2
         # The kernel is an execution strategy, not part of the sweep's
         # identity — the current invocation's choice applies on resume.
-        cfg = Scenario(
-            name="sweep-resume",
-            machine=MachineSpec(
-                scale=scale,
-                mesh_width=mesh[0], mesh_height=mesh[1],
-                cluster_width=cluster[0], cluster_height=cluster[1],
-            ),
-            faults=req.get("faults", ""),
-            strict=bool(req.get("strict")),
-            kernel=getattr(args, "kernel", "auto"),
-        ).to_config()
-        jobs = [harness.Job(wl, pol, seed) for wl, pol, seed in manifest["jobs"]]
+        scenario = dataclasses.replace(
+            scenario, kernel=getattr(args, "kernel", "auto")
+        )
         out = args.out or req.get("out")
         if not out:
             print("error: the manifest records no output path; pass --out")
             return 2
-        seed = req.get("seed", 0)
         request = req
         execution = _sweep_execution(args, req)
     else:
         if not args.out:
             print("error: --out is required unless resuming with --resume DIR")
             return 2
-        cfg = Scenario(
+        scenario = Scenario(
             name="sweep",
+            workloads=tuple(args.workloads or workload_names()),
+            policies=tuple(args.policies or ["snuca", "rnuca", "tdnuca"]),
             machine=_machine_spec(args),
             faults=args.faults,
             strict=args.strict,
             kernel=getattr(args, "kernel", "auto"),
-        ).to_config()
-        workloads = args.workloads or workload_names()
-        policies = args.policies or ["snuca", "rnuca", "tdnuca"]
-        jobs = [
-            harness.Job(wl, pol, args.seed)
-            for wl in workloads
-            for pol in policies
-        ]
+            seed=args.seed,
+        )
         out = args.out
         run_dir = args.run_dir or out + ".d"
-        seed = args.seed
         execution = _sweep_execution(args, {})
         request = {
-            "scale": args.scale,
-            "workloads": workloads,
-            "policies": policies,
-            "seed": args.seed,
-            "faults": args.faults,
-            "strict": args.strict,
+            "scenario": scenario.to_dict(),
             # absolute, so a --resume from another directory writes here
             "out": os.path.abspath(out),
             **execution,
         }
-        if args.mesh:
-            request["mesh"] = list(args.mesh)
-        if args.cluster:
-            request["cluster"] = list(args.cluster)
+    cfg = scenario.to_config()
+    jobs = [
+        harness.Job(wl, pol, scenario.seed)
+        for wl in scenario.workloads
+        for pol in scenario.policies
+    ]
 
     total = len(jobs)
     progress = {"done": 0}
@@ -914,8 +912,8 @@ def cmd_sweep(args) -> int:
     )
     meta = {
         "config_sha256": harness.config_fingerprint(cfg),
-        "seed": seed,
-        "scale": request.get("scale"),
+        "seed": scenario.seed,
+        "scale": scenario.machine.scale,
         "wall_time_s": round(outcome.wall_time, 3),
     }
     with atomic_write(out) as fh:

@@ -67,6 +67,12 @@ class ScenarioError(ValueError):
         return ScenarioError(self.message, field=self.field, source=source)
 
 
+def _positive_int(value: Any) -> bool:
+    """A positive ``int`` that is not a ``bool`` (``True`` is an ``int``
+    to ``isinstance``, and would compile as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def _parse_geometry(value: Any, what: str) -> tuple[int, int]:
     """Accept ``"8x8"``, ``[8, 8]`` or ``{"width": 8, "height": 8}``."""
     if isinstance(value, str):
@@ -267,10 +273,16 @@ class Scenario:
             for co in self.corunners:
                 self._check_workload(co.workload, "multiprog.workload")
         m = self.machine
-        if not isinstance(m.scale, int) or m.scale < 1:
+        if not _positive_int(m.scale):
             raise err(
                 f"scale must be a positive integer, got {m.scale!r}",
                 "machine.scale",
+            )
+        if m.rrt_entries is not None and not _positive_int(m.rrt_entries):
+            raise err(
+                f"rrt_entries must be a positive integer, got "
+                f"{m.rrt_entries!r}",
+                "machine.rrt_entries",
             )
         if self.seed is True or self.seed is False or not isinstance(self.seed, int):
             raise err(f"seed must be an integer, got {self.seed!r}", "seed")
@@ -493,7 +505,7 @@ def _parse_machine(raw: Any, source: str) -> MachineSpec:
         cluster = _parse_geometry(raw["cluster"], "machine.cluster")
     scale = raw.get("scale", 64)
     rrt = raw.get("rrt_entries")
-    if rrt is not None and (not isinstance(rrt, int) or rrt < 1):
+    if rrt is not None and not _positive_int(rrt):
         raise ScenarioError(
             f"rrt_entries must be a positive integer, got {rrt!r}",
             field="machine.rrt_entries",

@@ -10,6 +10,13 @@ keyed on ``config_sha256`` — never simulated twice.  Every response is a
 typed envelope carrying the package version; no failure path leaks a
 stack trace.
 
+A job is described by one value, the validated run or sweep
+:class:`~repro.scenario.Scenario` a client posted, reduced to its
+service form (:func:`repro.service.queue.service_form`).  Its cells,
+label and config derive from it; its ``to_dict()`` is the only
+serialized description (job records, fleet claims and queue shards,
+poison bundles) and hashes to the job key.
+
 Layout:
 
 * :mod:`repro.service.envelope` — the response envelope and error taxonomy.
@@ -33,18 +40,16 @@ See DESIGN.md §11 for the failure-mode inventory and
 from repro.service.cache import ResultCache, request_key
 from repro.service.client import ServiceClient
 from repro.service.envelope import ServiceError, error_envelope, ok_envelope
-from repro.service.queue import JobQueue, RunSpec, SweepSpec
+from repro.service.queue import JobQueue
 from repro.service.server import ServiceServer
 from repro.service.workers import WorkerDied, WorkerPool
 
 __all__ = [
     "JobQueue",
     "ResultCache",
-    "RunSpec",
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
-    "SweepSpec",
     "WorkerDied",
     "WorkerPool",
     "error_envelope",

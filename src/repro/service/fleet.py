@@ -8,7 +8,7 @@ coordinator to elect.  The layout::
 
     fleet-dir/
       hosts/<host>.json      host leases (heartbeat sequence numbers)
-      claims/<key>.json      job ownership (owner, fencing epoch, spec)
+      claims/<key>.json      job ownership (owner, fencing epoch, scenario)
       claims/<key>.e<N>      epoch markers (exclusive reclaim arbitration)
       queue/<host>/<key>.json  per-host shards of queued jobs (steal targets)
       results/               the shared :class:`ResultCache` fleet tier
@@ -93,14 +93,16 @@ DEAD_FACTOR = 2.0
 _MAX_EPOCH_WALK = 8
 
 
-def job_key(spec_dict: dict[str, Any]) -> str:
-    """Stable fleet-wide identity of a submission (16 hex chars).
+def job_key(scenario_dict: dict[str, Any]) -> str:
+    """Stable identity of a job (16 hex chars): its poison-registry,
+    fleet-claim and queue-shard key.
 
-    Built over the spec's canonical wire dict, so the same scenario
-    submitted to any host — or re-read from a claim file — claims the
-    same key.  (The same construction the poison registry uses.)
+    Built over the canonical ``to_dict()`` of the job's service-form
+    scenario (:func:`repro.service.queue.service_form`), so the same run
+    submitted to any host — or re-read from a claim file — has the same
+    key.
     """
-    blob = json.dumps(spec_dict, sort_keys=True).encode("utf-8")
+    blob = json.dumps(scenario_dict, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -142,7 +144,7 @@ class ClaimHandle:
 
     key: str
     epoch: int
-    spec: dict[str, Any]
+    scenario: dict[str, Any]
 
 
 class FleetNode:
@@ -333,7 +335,7 @@ class FleetNode:
             return self._held.get(key)
 
     def try_claim(
-        self, key: str, spec: dict[str, Any], *, origin: str = "submit"
+        self, key: str, scenario: dict[str, Any], *, origin: str = "submit"
     ) -> ClaimHandle | None:
         """Acquire ownership of ``key``; ``None`` when someone else owns
         it (or won the race).  Never blocks beyond file I/O; callers poll.
@@ -349,9 +351,9 @@ class FleetNode:
             failpoints.fire(
                 "fleet.claim.stall", key=key, host=self.host_id, origin=origin
             )
-            claim = self._claim_doc(key, spec, epoch=1, host_deaths=0)
+            claim = self._claim_doc(key, scenario, epoch=1, host_deaths=0)
             if atomic_publish(path, _dump(claim)):
-                return self._record_claim(key, 1, spec)
+                return self._record_claim(key, 1, scenario)
             existing = _read_json(path)
             if existing is None:
                 return None  # raced and lost; the winner is mid-write
@@ -373,12 +375,12 @@ class FleetNode:
         return self._take_over(key, existing, origin=origin, death=False)
 
     def _claim_doc(
-        self, key: str, spec: dict[str, Any], *, epoch: int, host_deaths: int,
-        prev_owner: str | None = None,
+        self, key: str, scenario: dict[str, Any], *, epoch: int,
+        host_deaths: int, prev_owner: str | None = None,
     ) -> dict[str, Any]:
         return {
             "key": key,
-            "spec": spec,
+            "scenario": scenario,
             "owner": self.host_id,
             "epoch": epoch,
             "host_deaths": host_deaths,
@@ -387,9 +389,9 @@ class FleetNode:
         }
 
     def _record_claim(
-        self, key: str, epoch: int, spec: dict[str, Any]
+        self, key: str, epoch: int, scenario: dict[str, Any]
     ) -> ClaimHandle:
-        handle = ClaimHandle(key=key, epoch=epoch, spec=spec)
+        handle = ClaimHandle(key=key, epoch=epoch, scenario=scenario)
         with self._lock:
             self._held[key] = handle
             self.claims_won += 1
@@ -413,7 +415,7 @@ class FleetNode:
         remains the single fencing truth either way.
         """
         base_epoch = int(existing.get("epoch", 0))
-        spec = existing.get("spec") or {}
+        scenario = existing.get("scenario") or {}
         now = time.monotonic()
         for step in range(1, _MAX_EPOCH_WALK + 1):
             epoch = base_epoch + step
@@ -426,14 +428,14 @@ class FleetNode:
                 if death and existing.get("owner"):
                     host_deaths += 1
                 claim = self._claim_doc(
-                    key, spec, epoch=epoch, host_deaths=host_deaths,
+                    key, scenario, epoch=epoch, host_deaths=host_deaths,
                     prev_owner=existing.get("owner") or None,
                 )
                 with atomic_write(self.claim_path(key)) as fh:
                     fh.write(_dump(claim).decode("utf-8"))
                 with self._lock:
                     self._stale_markers.pop(str(marker), None)
-                return self._record_claim(key, epoch, spec)
+                return self._record_claim(key, epoch, scenario)
             # Marker already exists: someone else is (or was) taking this
             # epoch.  Only walk past it once it has sat there a full
             # lease_timeout on OUR clock with the claim file unchanged.
@@ -487,7 +489,7 @@ class FleetNode:
         with atomic_write(path) as fh:
             fh.write(_dump(doc).decode("utf-8"))
         if requeue:
-            self.enqueue(handle.key, handle.spec, job_id=None)
+            self.enqueue(handle.key, handle.scenario, job_id=None)
 
     def note_fenced(self, n: int = 1) -> None:
         """Record fence losses observed elsewhere (worker children report
@@ -500,12 +502,12 @@ class FleetNode:
     # ------------------------------------------------------------------
 
     def enqueue(
-        self, key: str, spec: dict[str, Any], *, job_id: str | None
+        self, key: str, scenario: dict[str, Any], *, job_id: str | None
     ) -> None:
         """Publish a queued job into this host's shard (steal target)."""
         entry = {
             "key": key,
-            "spec": spec,
+            "scenario": scenario,
             "job_id": job_id,
             "host": self.host_id,
             "submitted_at": time.time(),  # diagnostic only
@@ -563,7 +565,7 @@ class FleetNode:
                     victim=victim,
                 )
                 handle = self.try_claim(
-                    key, entry.get("spec") or {}, origin="steal"
+                    key, entry.get("scenario") or {}, origin="steal"
                 )
                 if handle is None:
                     with self._lock:
@@ -628,7 +630,7 @@ class FleetNode:
         bundle = {
             "kind": "fleet-poison-quarantine",
             "job_key": key,
-            "spec": claim.get("spec"),
+            "scenario": claim.get("scenario"),
             "host_deaths": int(claim.get("host_deaths", 0)) + 1,
             "last_owner": claim.get("owner"),
             "epoch": claim.get("epoch"),
@@ -728,13 +730,12 @@ def fleet_status(fleet_dir: str | Path) -> dict[str, Any]:
         claim = _read_json(path)
         if claim is None:
             continue
-        spec = claim.get("spec") or {}
         claims.append({
             "key": claim.get("key", path.stem),
             "owner": claim.get("owner"),
             "epoch": claim.get("epoch"),
             "host_deaths": claim.get("host_deaths", 0),
-            "label": _spec_label(spec),
+            "label": _spec_label(claim.get("scenario")),
         })
     queued: dict[str, int] = {}
     queue_root = root / "queue"
@@ -762,10 +763,10 @@ def fleet_status(fleet_dir: str | Path) -> dict[str, Any]:
     }
 
 
-def _spec_label(spec: dict[str, Any]) -> str:
-    if spec.get("kind") == "sweep":
-        return (
-            f"sweep:{len(spec.get('workloads', []))}"
-            f"x{len(spec.get('policies', []))}"
-        )
-    return f"{spec.get('workload', '?')}/{spec.get('policy', '?')}"
+def _spec_label(scenario: Any) -> str:
+    """The label of a claimed job, which names its service-form scenario
+    (:func:`repro.service.queue.service_form`); ``?`` for a claim that
+    holds no scenario, such as one written by 3.x."""
+    if not isinstance(scenario, dict):
+        return "?"
+    return str(scenario.get("name", "?"))

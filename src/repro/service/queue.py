@@ -67,32 +67,41 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import hashlib
 import json
 import random
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from repro import failpoints
 from repro.ioutils import atomic_write
+from repro.scenario.loader import load_scenario
+from repro.scenario.model import (
+    CheckpointSpec,
+    Scenario,
+    TraceSpec,
+    parse_scenario,
+)
 from repro.service.cache import ResultCache, request_key
 from repro.service.envelope import ServiceError
-from repro.service.fleet import FleetNode
+from repro.service.fleet import FleetNode, job_key
 from repro.service.workers import WorkerDied, WorkerPool
 from repro.snapshot import PreemptedError, config_sha256
 from repro.template import PERMANENT_ERRORS, retry_delay
 
 __all__ = [
-    "RunSpec",
-    "SweepSpec",
     "Job",
     "JobQueue",
     "CircuitBreaker",
     "EventBuffer",
+    "cell_keys",
+    "scenario_cells",
+    "scenario_from_body",
+    "scenario_label",
+    "service_form",
 ]
 
 #: job states.  ``preempted`` is terminal for this server instance but not
@@ -106,307 +115,82 @@ LIVE_STATES = ("queued", "running")
 KEEP_FINISHED = 1024
 
 
-def _machine_spec(scale: int, mesh, cluster, rrt_entries):
-    from repro.scenario.model import MachineSpec
+def scenario_from_body(
+    raw: Any, kind: str | None = None, *, source: str = "request"
+) -> Scenario:
+    """Parse the scenario of a job: a curated-library name or a mapping.
 
-    mesh = mesh or (4, 4)
-    cluster = cluster or (2, 2)
-    return MachineSpec(
-        scale=scale,
-        mesh_width=mesh[0],
-        mesh_height=mesh[1],
-        cluster_width=cluster[0],
-        cluster_height=cluster[1],
-        rrt_entries=rrt_entries,
-    )
-
-
-def _geometry_dict(spec) -> dict[str, Any]:
-    """Geometry keys for ``to_dict`` — emitted ONLY when non-default, so
-    the serialized form (and therefore poison keys and legacy readers) of
-    every pre-scenario spec is byte-identical to what it always was."""
-    out: dict[str, Any] = {}
-    if spec.mesh is not None:
-        out["mesh"] = list(spec.mesh)
-    if spec.cluster is not None:
-        out["cluster"] = list(spec.cluster)
-    if spec.rrt_entries is not None:
-        out["rrt_entries"] = spec.rrt_entries
-    return out
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One (workload, policy) simulation request.
-
-    A thin, wire-stable veneer over :class:`repro.scenario.Scenario`:
-    validation and config compilation both route through the scenario it
-    denotes, so a service submission fingerprints identically to the same
-    run expressed as a YAML scenario, CLI flags or Session kwargs.
+    ``kind`` is the endpoint's (``run`` or ``sweep``) when the scenario
+    was posted to one.  Raises :class:`ValueError` naming the problem
+    (a :class:`~repro.scenario.ScenarioError` for schema errors); the
+    server maps it to a typed ``invalid-request`` envelope.
     """
-
-    workload: str
-    policy: str
-    seed: int = 0
-    scale: int = 64
-    faults: str = ""
-    strict: bool = False
-    #: simulation backend; never changes results, so it is deliberately
-    #: absent from the result-cache request key (see ``request_key``).
-    kernel: str = "auto"
-    #: scale-out geometry; ``None`` keeps the paper's 4x4 mesh / 2x2
-    #: clusters / 64-entry RRTs (and keeps ``to_dict`` byte-identical to
-    #: the pre-scenario wire format).
-    mesh: tuple[int, int] | None = None
-    cluster: tuple[int, int] | None = None
-    rrt_entries: int | None = None
-
-    kind = "run"
-
-    def scenario(self):
-        """The :class:`~repro.scenario.Scenario` this spec denotes."""
-        from repro.scenario.model import Scenario
-
-        return Scenario(
-            name=self.label,
-            workload=self.workload,
-            policy=self.policy,
-            machine=_machine_spec(
-                self.scale, self.mesh, self.cluster, self.rrt_entries
-            ),
-            faults=self.faults,
-            strict=self.strict,
-            kernel=self.kernel,
-            seed=self.seed,
-        )
-
-    def validate(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.scale, int) or isinstance(self.scale, bool):
-            raise ValueError(
-                f"scale must be a positive integer, got {self.scale!r}"
-            )
-        # Scenario validation compiles the config too, so a nonsense fault
-        # spec or geometry is rejected at submission, not inside a worker.
-        self.scenario().validate()
-
-    def config(self):
-        return self.scenario().to_config()
-
-    def cells(self) -> list[tuple[str, str]]:
-        return [(self.workload, self.policy)]
-
-    @property
-    def label(self) -> str:
-        return f"{self.workload}/{self.policy}"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "workload": self.workload,
-            "policy": self.policy,
-            "seed": self.seed,
-            "scale": self.scale,
-            "faults": self.faults,
-            "strict": self.strict,
-            "kernel": self.kernel,
-            **_geometry_dict(self),
-        }
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A workloads x policies grid; each cell caches independently."""
-
-    workloads: tuple[str, ...]
-    policies: tuple[str, ...]
-    seed: int = 0
-    scale: int = 64
-    faults: str = ""
-    strict: bool = False
-    kernel: str = "auto"
-    mesh: tuple[int, int] | None = None
-    cluster: tuple[int, int] | None = None
-    rrt_entries: int | None = None
-
-    kind = "sweep"
-
-    def scenario(self):
-        from repro.scenario.model import Scenario
-
-        return Scenario(
-            name=self.label,
-            workloads=tuple(self.workloads),
-            policies=tuple(self.policies),
-            machine=_machine_spec(
-                self.scale, self.mesh, self.cluster, self.rrt_entries
-            ),
-            faults=self.faults,
-            strict=self.strict,
-            kernel=self.kernel,
-            seed=self.seed,
-        )
-
-    def validate(self) -> None:
-        if not self.workloads or not self.policies:
-            raise ValueError("sweep needs at least one workload and one policy")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.scale, int) or isinstance(self.scale, bool):
-            raise ValueError(
-                f"scale must be a positive integer, got {self.scale!r}"
-            )
-        self.scenario().validate()
-
-    def config(self):
-        return self.scenario().to_config()
-
-    def cells(self) -> list[tuple[str, str]]:
-        return [(wl, pol) for wl in self.workloads for pol in self.policies]
-
-    @property
-    def label(self) -> str:
-        return f"sweep:{len(self.workloads)}x{len(self.policies)}"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "workloads": list(self.workloads),
-            "policies": list(self.policies),
-            "seed": self.seed,
-            "scale": self.scale,
-            "faults": self.faults,
-            "strict": self.strict,
-            "kernel": self.kernel,
-            **_geometry_dict(self),
-        }
-
-
-def spec_from_scenario(scenario) -> RunSpec | SweepSpec:
-    """Lower a :class:`~repro.scenario.Scenario` to a service spec.
-
-    Multiprogrammed scenarios are rejected with a clear message — they
-    need the merged-program execution path, which runs through
-    ``Session``/``repro run``, not the cell-cached service.
-    """
-    m = scenario.machine
-    geometry: dict[str, Any] = {}
-    if (m.mesh_width, m.mesh_height) != (4, 4):
-        geometry["mesh"] = (m.mesh_width, m.mesh_height)
-    if (m.cluster_width, m.cluster_height) != (2, 2):
-        geometry["cluster"] = (m.cluster_width, m.cluster_height)
-    if m.rrt_entries is not None:
-        geometry["rrt_entries"] = m.rrt_entries
-    common = dict(
-        seed=scenario.seed,
-        scale=m.scale,
-        faults=scenario.faults,
-        strict=scenario.strict,
-        kernel=scenario.kernel,
-        **geometry,
-    )
-    if scenario.kind == "run":
-        spec: RunSpec | SweepSpec = RunSpec(
-            scenario.workload, scenario.policy, **common
-        )
-    elif scenario.kind == "sweep":
-        spec = SweepSpec(
-            tuple(scenario.workloads), tuple(scenario.policies), **common
-        )
+    if isinstance(raw, str):
+        scenario = load_scenario(raw)
     else:
+        scenario = parse_scenario(raw, source=source)
+    if scenario.kind == "multiprog":
         raise ValueError(
             f"multiprog scenario {scenario.name!r} cannot run through the "
             "service (co-runners share one merged machine, which defeats "
             "per-cell caching); run it with 'repro run' or "
             "repro.run_scenario()"
         )
-    spec.validate()
-    return spec
+    if kind is not None and scenario.kind != kind:
+        raise ValueError(
+            f"scenario {scenario.name!r} is a {scenario.kind} but was "
+            f"submitted to the {kind} endpoint"
+        )
+    return scenario
 
 
-def _parse_wire_geometry(raw: dict[str, Any]) -> dict[str, Any]:
-    from repro.scenario.model import _parse_geometry
-
-    out: dict[str, Any] = {}
-    if raw.get("mesh") is not None:
-        out["mesh"] = _parse_geometry(raw["mesh"], "mesh")
-    if raw.get("cluster") is not None:
-        out["cluster"] = _parse_geometry(raw["cluster"], "cluster")
-    if raw.get("rrt_entries") is not None:
-        rrt = raw["rrt_entries"]
-        if not isinstance(rrt, int) or rrt < 1:
-            raise ValueError(
-                f"rrt_entries must be a positive integer, got {rrt!r}"
-            )
-        out["rrt_entries"] = rrt
-    return out
+def scenario_cells(scenario: Scenario) -> list[tuple[str, str]]:
+    """The (workload, policy) cells of a run or sweep scenario."""
+    if scenario.kind == "sweep":
+        return [
+            (wl, pol) for wl in scenario.workloads for pol in scenario.policies
+        ]
+    return [(scenario.workload, scenario.policy)]
 
 
-def spec_from_dict(raw: dict[str, Any]) -> RunSpec | SweepSpec:
-    """Parse a scenario body or a flat spec dict into a validated spec.
+def scenario_label(scenario: Scenario) -> str:
+    """``workload/policy`` of a run, ``sweep:NxM`` of a sweep: the label
+    of a job's events, its failpoint context and a run's result cell."""
+    if scenario.kind == "sweep":
+        return f"sweep:{len(scenario.workloads)}x{len(scenario.policies)}"
+    return f"{scenario.workload}/{scenario.policy}"
 
-    A client submits ``{"scenario": {...}}`` (a scenario mapping) or
-    ``{"scenario": "name"}`` (a curated-library name).  The flat form
-    (``workload``/``policy``/``scale``/... at top level) is the internal
-    wire form :meth:`RunSpec.to_dict` writes for worker payloads, fleet
-    claims, queue shards and poison keys; the server refuses it from
-    clients before it gets here.
 
-    Raises plain :class:`ValueError` with a message naming the problem;
-    the server maps it to a typed ``invalid-request`` envelope.
-    """
-    if not isinstance(raw, dict):
-        raise ValueError("request body must be a JSON object")
-    kind = raw.get("kind", "run")
-    if "scenario" in raw:
-        from repro.scenario.loader import load_scenario
-        from repro.scenario.model import parse_scenario
-
-        body = raw["scenario"]
-        if isinstance(body, str):
-            scenario = load_scenario(body)
-        else:
-            scenario = parse_scenario(body, source="request")
-        # multiprog falls through to spec_from_scenario's rejection, which
-        # explains where such scenarios *can* run.
-        if ("kind" in raw and scenario.kind != kind
-                and scenario.kind != "multiprog"):
-            raise ValueError(
-                f"scenario {scenario.name!r} is a {scenario.kind} but was "
-                f"submitted to the {kind} endpoint"
-            )
-        return spec_from_scenario(scenario)
-    common = {
-        "seed": raw.get("seed", 0),
-        "scale": raw.get("scale", 64),
-        "faults": raw.get("faults", ""),
-        "strict": bool(raw.get("strict", False)),
-        "kernel": str(raw.get("kernel", "auto")),
-        **_parse_wire_geometry(raw),
+def cell_keys(scenario: Scenario) -> dict[str, str]:
+    """Cell label (``workload/policy``) -> result-cache request key of
+    each cell of a run or sweep scenario, from one config compile."""
+    cfg = scenario.to_config()
+    return {
+        f"{wl}/{pol}": request_key(cfg, wl, pol, scenario.seed)
+        for wl, pol in scenario_cells(scenario)
     }
-    if kind == "run":
-        if "workload" not in raw or "policy" not in raw:
-            raise ValueError("run request needs 'workload' and 'policy'")
-        spec: RunSpec | SweepSpec = RunSpec(
-            str(raw["workload"]), str(raw["policy"]), **common
-        )
-    elif kind == "sweep":
-        workloads = raw.get("workloads")
-        policies = raw.get("policies")
-        if not isinstance(workloads, list) or not isinstance(policies, list):
-            raise ValueError(
-                "sweep request needs 'workloads' and 'policies' lists"
-            )
-        spec = SweepSpec(
-            tuple(str(w) for w in workloads),
-            tuple(str(p) for p in policies),
-            **common,
-        )
-    else:
-        raise ValueError(f"unknown job kind {kind!r} (expected 'run' or 'sweep')")
-    spec.validate()
-    return spec
+
+
+#: one (frozen) instance each for every service-form scenario, so the
+#: job records a server retains share them.
+_NO_TRACE = TraceSpec()
+_NO_CHECKPOINT = CheckpointSpec()
+
+
+def service_form(scenario: Scenario) -> Scenario:
+    """``scenario`` as the service runs and identifies it.
+
+    The service runs cells; it never reads a scenario's name,
+    description, trace or checkpoint block.  The service form drops them
+    and takes the job label as its name, so the same run submitted under
+    any name, traced or not, has one form.  Its ``to_dict()`` is a job's
+    only serialized description and the input of its
+    :func:`~repro.service.fleet.job_key`.
+    """
+    return replace(
+        scenario, name=scenario_label(scenario), description="",
+        trace=_NO_TRACE, checkpoint=_NO_CHECKPOINT, source="",
+    )
 
 
 class EventBuffer:
@@ -491,7 +275,8 @@ class Job:
     """One accepted submission and everything that happened to it."""
 
     id: str
-    spec: RunSpec | SweepSpec
+    #: the run, in its :func:`service_form`.
+    scenario: Scenario
     state: str = "queued"
     attempts: int = 0
     evictions: int = 0
@@ -499,7 +284,6 @@ class Job:
     cache_hits: int = 0      # cells answered from the cache
     simulated: int = 0       # cells this job actually simulated
     cells_done: int = 0
-    cells_total: int = 1
     error: dict[str, Any] | None = None
     result: dict[str, Any] | None = None
     resumed_from_task: int | None = None
@@ -523,13 +307,30 @@ class Job:
     #: :class:`~repro.service.workers.AttemptHandle` (or anything with a
     #: signal-safe ``request_preempt()``), set by the supervision thread.
     current_ck: Any = None
+    #: the job's identity across hosts and restarts (poison registry,
+    #: fleet claims and queue shards): :func:`~repro.service.fleet.job_key`
+    #: of the scenario's ``to_dict()``, computed once at admission.
+    key: str = field(init=False)
+    cells_total: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.key = job_key(self.scenario.to_dict())
+        self.cells_total = len(self.cells)
+
+    @property
+    def cells(self) -> list[tuple[str, str]]:
+        return scenario_cells(self.scenario)
+
+    @property
+    def label(self) -> str:
+        return scenario_label(self.scenario)
 
     def to_dict(self) -> dict[str, Any]:
         """The job record served by status endpoints (result separate)."""
         out: dict[str, Any] = {
             "id": self.id,
-            "kind": self.spec.kind,
-            "spec": self.spec.to_dict(),
+            "kind": self.scenario.kind,
+            "scenario": self.scenario.to_dict(),
             "state": self.state,
             "attempts": self.attempts,
             "evictions": self.evictions,
@@ -663,7 +464,7 @@ class JobQueue:
         #: hits of one key do not each hold a decoded copy; at most
         #: :data:`KEEP_FINISHED` keys, the oldest dropped first.
         self._hit_results: dict[str, dict[str, Any]] = {}
-        #: poison-quarantined spec keys -> diagnostic bundle path.
+        #: poison-quarantined job keys -> diagnostic bundle path.
         self.poisoned: dict[str, str] = {}
         self.submitted = 0
         self.completed = 0
@@ -782,11 +583,13 @@ class JobQueue:
         """Jobs queued or running (the breaker's backlog)."""
         return len(self._live)
 
-    def submit(self, spec: RunSpec | SweepSpec) -> Job:
-        """Admit a job (or answer it from cache); raises :class:`ServiceError`.
+    def submit(self, scenario: Scenario) -> Job:
+        """Admit a run or sweep scenario as a job (or answer it from
+        cache); raises :class:`ServiceError`.
 
-        The all-cells-cached fast path completes the job synchronously —
-        a duplicate submission never even enters the queue.
+        The job holds the scenario's :func:`service_form`.  The
+        all-cells-cached fast path completes the job synchronously — a
+        duplicate submission never even enters the queue.
         """
         if self.draining:
             raise ServiceError(
@@ -795,27 +598,23 @@ class JobQueue:
             )
         if self._ready is None:
             raise ServiceError("internal", "job queue is not started")
-        poison_key = self._poison_key(spec)
-        if poison_key in self.poisoned:
+        job = Job(id=uuid.uuid4().hex[:12], scenario=service_form(scenario))
+        if job.key in self.poisoned:
             raise ServiceError(
                 "poisoned",
-                f"job {spec.label!r} (key {poison_key}) is quarantined: it "
+                f"job {job.label!r} (key {job.key}) is quarantined: it "
                 f"repeatedly killed its worker process; diagnostic bundle "
-                f"at {self.poisoned[poison_key]}",
+                f"at {self.poisoned[job.key]}",
             )
         if self.fleet is not None:
-            fleet_bundle = self.fleet.poisoned(poison_key)
+            fleet_bundle = self.fleet.poisoned(job.key)
             if fleet_bundle is not None:
                 raise ServiceError(
                     "poisoned",
-                    f"job {spec.label!r} (key {poison_key}) is quarantined "
+                    f"job {job.label!r} (key {job.key}) is quarantined "
                     f"fleet-wide as poison; diagnostic bundle at "
                     f"{fleet_bundle}",
                 )
-        job = Job(
-            id=uuid.uuid4().hex[:12], spec=spec,
-            cells_total=len(spec.cells()),
-        )
         if self._cache_fast_path(job):
             self.submitted += 1
             self.jobs[job.id] = job
@@ -824,12 +623,12 @@ class JobQueue:
         self.submitted += 1
         self.jobs[job.id] = job
         self._set_state(job, "queued")
-        job.events.append({"kind": "queued", "label": spec.label})
+        job.events.append({"kind": "queued", "label": job.label})
         if self.fleet is not None:
             # Visible in this host's fleet queue shard from this moment:
             # an idle peer may steal it, in which case _acquire_claim
             # below waits for the thief and completes from the store.
-            self.fleet.enqueue(poison_key, spec.to_dict(), job_id=job.id)
+            self.fleet.enqueue(job.key, job.scenario.to_dict(), job_id=job.id)
         self._ready.put_nowait(job.id)
         return job
 
@@ -885,34 +684,34 @@ class JobQueue:
         """Complete ``job`` immediately iff every cell is already cached."""
         if self.cache is None:
             return False
-        cfg = job.spec.config()
-        cells = job.spec.cells()
-        keys = {
-            cell: request_key(cfg, cell[0], cell[1], job.spec.seed)
-            for cell in cells
-        }
-        if not all(keys[cell] in self.cache for cell in cells):
+        keys = cell_keys(job.scenario)
+        if not all(key in self.cache for key in keys.values()):
             return False
-        for cell in cells:
-            cached = self.cache.get(keys[cell])
+        for cell, key in keys.items():
+            cached = self.cache.get(key)
             if cached is None:  # corrupt entry surfaced mid-check: recompute
                 return False
-            shared = self._hit_results.get(keys[cell])
-            if shared == cached:
-                cached = shared
-            else:
-                self._hit_results[keys[cell]] = cached
-                if len(self._hit_results) > KEEP_FINISHED:
-                    del self._hit_results[next(iter(self._hit_results))]
-            job.partial[f"{cell[0]}/{cell[1]}"] = cached
+            job.partial[cell] = self._share(key, cached)
             job.cache_hits += 1
             job.cells_done += 1
             job.events.append(
-                {"kind": "cell_done", "cell": f"{cell[0]}/{cell[1]}",
-                 "cache_hit": True}
+                {"kind": "cell_done", "cell": cell, "cache_hit": True}
             )
         self._finish_ok(job)
         return True
+
+    def _share(self, key: str, result: dict[str, Any]) -> dict[str, Any]:
+        """The result dict the jobs of request ``key`` share: the one
+        already shared when it equals ``result``, else ``result``, kept
+        for the next job (at most :data:`KEEP_FINISHED` keys, the oldest
+        dropped first), so jobs of one key do not each hold a copy."""
+        shared = self._hit_results.get(key)
+        if shared == result:
+            return shared
+        self._hit_results[key] = result
+        if len(self._hit_results) > KEEP_FINISHED:
+            del self._hit_results[next(iter(self._hit_results))]
+        return result
 
     # ------------------------------------------------------------------
     # execution
@@ -974,15 +773,15 @@ class JobQueue:
         if self.draining:
             return
         for handle, claim in self.fleet.reclaim_dead():
-            self._adopt(handle, claim.get("spec"), origin="reclaim")
+            self._adopt(handle, claim.get("scenario"), origin="reclaim")
         if self.depth() == 0:
             # Idle: pull at most one job per tick from a dead or clearly
             # more-loaded peer; bounded so a thundering herd of idle
             # hosts cannot strip a healthy peer bare in one beat.
             for handle, entry in self.fleet.steal(self.depth(), limit=1):
-                self._adopt(handle, entry.get("spec"), origin="steal")
+                self._adopt(handle, entry.get("scenario"), origin="steal")
 
-    def _adopt(self, handle: Any, spec_dict: Any, origin: str) -> None:
+    def _adopt(self, handle: Any, raw: Any, origin: str) -> None:
         """Admit a reclaimed/stolen claim as a client-invisible ghost job.
 
         The ghost resumes from the shared spool snapshot exactly like a
@@ -992,7 +791,9 @@ class JobQueue:
         """
         assert self.fleet is not None and self._ready is not None
         try:
-            spec = spec_from_dict(dict(spec_dict or {}))
+            scenario = scenario_from_body(
+                raw, source=f"fleet claim {handle.key}"
+            )
         except (ValueError, TypeError) as exc:
             # Unparseable claim (version skew, corruption): settle it so
             # the fleet stops re-adopting it every tick.
@@ -1005,8 +806,7 @@ class JobQueue:
             self.fleet.release(handle, done=True)
             return
         job = Job(
-            id=uuid.uuid4().hex[:12], spec=spec,
-            cells_total=len(spec.cells()),
+            id=uuid.uuid4().hex[:12], scenario=service_form(scenario),
             origin=origin, fleet_claim=handle,
         )
         self.adopted += 1
@@ -1046,7 +846,7 @@ class JobQueue:
         assert self.fleet is not None
         if job.fleet_claim is not None:
             return True  # requeued (eviction/crash retry): still ours
-        key = self._poison_key(job.spec)
+        key = job.key
         poll = max(0.05, min(0.5, self.fleet.lease_timeout / 10))
         while True:
             if self.draining:
@@ -1060,11 +860,11 @@ class JobQueue:
                 self.fleet.remove_queue_entry(key)
                 self._fail(job, ServiceError(
                     "poisoned",
-                    f"job {job.spec.label!r} (key {key}) was quarantined "
+                    f"job {job.label!r} (key {key}) was quarantined "
                     f"fleet-wide as poison; diagnostic bundle at {bundle}",
                 ))
                 return False
-            handle = self.fleet.try_claim(key, job.spec.to_dict())
+            handle = self.fleet.try_claim(key, job.scenario.to_dict())
             if handle is not None:
                 job.fleet_claim = handle
                 job.events.append(
@@ -1124,6 +924,11 @@ class JobQueue:
             job.spent += time.monotonic() - t0
             if self.pool is not None:
                 self.pool.note_ok()
+            if self.cache is not None:
+                # Later cache hits of these cells share this job's result
+                # dicts instead of each decoding its own copy.
+                for cell, key in cell_keys(job.scenario).items():
+                    job.partial[cell] = self._share(key, job.partial[cell])
             self._finish_ok(job)
             return
 
@@ -1235,19 +1040,14 @@ class JobQueue:
         self._fail(job, ServiceError("job-failed", f"WorkerDied: {died}"))
         return False
 
-    def _poison_key(self, spec: RunSpec | SweepSpec) -> str:
-        """Stable identity of a submission for the poison registry."""
-        blob = json.dumps(spec.to_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
-
     def _quarantine_poison(self, job: Job, died: WorkerDied) -> None:
         """Quarantine a job that keeps killing workers; write diagnostics.
 
         The bundle under ``spool/poison/`` names everything an operator
         needs to reproduce offline; the registry entry rejects any
-        resubmission of the same spec for this server's lifetime.
+        resubmission of the same run for this server's lifetime.
         """
-        key = self._poison_key(job.spec)
+        key = job.key
         bundle_dir = self.spool / "poison"
         bundle_dir.mkdir(parents=True, exist_ok=True)
         bundle_path = bundle_dir / f"{key}.json"
@@ -1256,8 +1056,8 @@ class JobQueue:
             "kind": "poison-quarantine",
             "job_key": key,
             "job_id": job.id,
-            "label": job.spec.label,
-            "spec": job.spec.to_dict(),
+            "label": job.label,
+            "scenario": job.scenario.to_dict(),
             "attempts": job.attempts,
             "worker_deaths": job.worker_deaths,
             "last_death": {
@@ -1278,7 +1078,7 @@ class JobQueue:
             self.fleet.poison(key, bundle)
         self._fail(job, ServiceError(
             "poisoned",
-            f"job {job.spec.label!r} killed {job.worker_deaths} worker "
+            f"job {job.label!r} killed {job.worker_deaths} worker "
             f"processes and is quarantined as poison; diagnostic bundle "
             f"at {bundle_path}",
         ))
@@ -1323,8 +1123,8 @@ class JobQueue:
         job.events.close()
 
     def _assemble_result(self, job: Job) -> dict[str, Any]:
-        if job.spec.kind == "run":
-            return job.partial[job.spec.label]
+        if job.scenario.kind == "run":
+            return job.partial[job.label]
         from repro.experiments.serialize import SCHEMA_VERSION
 
         return {
@@ -1332,9 +1132,9 @@ class JobQueue:
             "runs": {cell: job.partial[cell] for cell in sorted(job.partial)},
             "failures": [],
             "sweep": {
-                "config_sha256": config_sha256(job.spec.config()),
-                "seed": job.spec.seed,
-                "scale": job.spec.scale,
+                "config_sha256": config_sha256(job.scenario.to_config()),
+                "seed": job.scenario.seed,
+                "scale": job.scenario.machine.scale,
             },
         }
 

@@ -40,7 +40,7 @@ from typing import Any, Callable
 from repro.service.cache import ResultCache
 from repro.service.envelope import ServiceError, error_envelope, ok_envelope
 from repro.service.fleet import DEFAULT_HOST_LEASE_TIMEOUT, FleetNode
-from repro.service.queue import JobQueue, spec_from_dict
+from repro.service.queue import JobQueue, scenario_from_body
 
 __all__ = ["ServiceServer", "EXIT_DRAINED", "MAX_BODY"]
 
@@ -304,8 +304,7 @@ class ServiceServer:
 
     async def _submit(self, method, path, body, writer) -> None:
         """Admit a ``{"scenario": {...}}`` or ``{"scenario": "<name>"}``
-        body.  The flat spec dict stays internal (worker payloads, claims,
-        poison keys); an external body without ``scenario`` is refused."""
+        body; a body without ``scenario`` is refused."""
         if body is None:
             raise ServiceError("invalid-request", "missing JSON request body")
         if not isinstance(body, dict) or "scenario" not in body:
@@ -317,10 +316,10 @@ class ServiceServer:
             )
         kind = "sweep" if path.endswith("/sweep") else "run"
         try:
-            spec = spec_from_dict({**body, "kind": kind})
+            scenario = scenario_from_body(body["scenario"], kind)
         except ValueError as exc:
             raise ServiceError("invalid-request", str(exc)) from exc
-        job = self.queue.submit(spec)  # raises saturated/draining
+        job = self.queue.submit(scenario)  # raises saturated/draining
         await self._send_json(writer, 200, ok_envelope({"job": job.to_dict()}))
 
     async def _jobs(self, path: str, writer: asyncio.StreamWriter) -> None:

@@ -199,8 +199,7 @@ class WorkerPool:
     def _payload(self, job: Any) -> dict[str, Any]:
         done = set(job.partial)
         remaining = [
-            [wl, pol] for wl, pol in job.spec.cells()
-            if f"{wl}/{pol}" not in done
+            [wl, pol] for wl, pol in job.cells if f"{wl}/{pol}" not in done
         ]
         claim = getattr(job, "fleet_claim", None)
         fleet = None
@@ -215,13 +214,13 @@ class WorkerPool:
                 "epoch": claim.epoch,
             }
         return {
-            "label": job.spec.label,
+            "label": job.label,
             "attempt": job.attempts,
             "start_sites": (
                 "worker.start.crash", "queue.attempt.slow", "queue.attempt.crash",
             ),
             "checkpoints": True,
-            "spec": job.spec.to_dict(),
+            "scenario": job.scenario,
             "cells": remaining,
             "checkpoint_every": self.checkpoint_every,
             "spool": self.spool,
@@ -356,10 +355,9 @@ def _run_cells(attempt: template.Attempt) -> None:
         except (ImportError, ValueError, OSError):
             pass
     from repro.service.cache import ResultCache, request_key
-    from repro.service.queue import spec_from_dict
 
-    spec = spec_from_dict(payload["spec"])
-    cfg = spec.config()
+    scenario = payload["scenario"]
+    cfg = scenario.to_config()
     fleet = payload.get("fleet")
     cache = (
         ResultCache(
@@ -374,17 +372,19 @@ def _run_cells(attempt: template.Attempt) -> None:
     for wl, pol in payload["cells"]:
         cell = f"{wl}/{pol}"
         attempt.stamp()
-        key = request_key(cfg, wl, pol, spec.seed)
+        key = request_key(cfg, wl, pol, scenario.seed)
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
             attempt.send(("cell_done", cell, cached, True, None))
             continue
-        result, resumed = _simulate(attempt, cfg, spec, wl, pol, key, spool, cache)
+        result, resumed = _simulate(
+            attempt, cfg, scenario, wl, pol, key, spool, cache
+        )
         attempt.send(("cell_done", cell, result, False, resumed))
 
 
 def _simulate(
-    attempt: template.Attempt, cfg: Any, spec: Any, wl: str, pol: str,
+    attempt: template.Attempt, cfg: Any, scenario: Any, wl: str, pol: str,
     key: str, spool: Path, cache: Any,
 ) -> tuple[dict[str, Any], int | None]:
     from repro.api import Session
@@ -401,7 +401,7 @@ def _simulate(
             sink=CallbackSink(lambda evt: attempt.send(("event", evt))),
             timeline=False,
         )
-        return Session(cfg, seed=spec.seed).run(
+        return Session(cfg, seed=scenario.seed).run(
             wl, pol, trace=observer, checkpoint=ck, resume_from=resume_from,
         )
 
@@ -431,8 +431,8 @@ def _simulate(
         fenced_before = cache.fleet_fenced
         cache.put(
             key, result,
-            meta={"workload": wl, "policy": pol, "seed": spec.seed,
-                  "scale": spec.scale},
+            meta={"workload": wl, "policy": pol, "seed": scenario.seed,
+                  "scale": scenario.machine.scale},
             fence=fence,
         )
         if cache.fleet_fenced > fenced_before:

@@ -24,7 +24,8 @@ from repro import failpoints
 from repro.api import Session
 from repro.experiments.golden import GOLDEN_CASES
 from repro.service.cache import ResultCache
-from repro.service.queue import JobQueue, RunSpec
+from repro.service.queue import JobQueue
+from tests.conftest import run_of
 
 pytestmark = pytest.mark.chaos
 
@@ -56,10 +57,10 @@ def make_queue(tmp_path, **kw):
     return JobQueue(**kw)
 
 
-def submit_and_settle(queue, specs, timeout=300.0):
+def submit_and_settle(queue, scenarios, timeout=300.0):
     async def go():
         await queue.start()
-        jobs = [queue.submit(s) for s in specs]
+        jobs = [queue.submit(s) for s in scenarios]
         for job in jobs:
             await _wait_settled(job, timeout=timeout)
         await queue.drain(grace=0.5)
@@ -86,7 +87,7 @@ def test_kill9_mid_job_is_byte_identical_on_every_golden_case(
     # point below the crash.
     failpoints.configure("worker.crash=*@attempt:1@task_ge:8")
     queue = make_queue(tmp_path, checkpoint_every=4, retries=1)
-    spec = RunSpec(
+    scenario = run_of(
         case.workload,
         case.policy,
         seed=case.seed,
@@ -94,7 +95,7 @@ def test_kill9_mid_job_is_byte_identical_on_every_golden_case(
         faults=case.fault_spec,
         mesh=case.mesh,
     )
-    (job,) = submit_and_settle(queue, [spec])
+    (job,) = submit_and_settle(queue, [scenario])
 
     assert job.state == "done", job.error
     assert job.worker_deaths == 1
@@ -109,7 +110,7 @@ def test_poison_job_quarantined_while_healthy_jobs_complete(tmp_path):
     # Every worker that picks up histo/tdnuca dies; kmeans is untouched.
     failpoints.configure("worker.crash=*@job:histo/tdnuca@task_ge:4")
     reference = Session(
-        RunSpec("kmeans", "tdnuca", scale=GOLDEN_SERVICE_SCALE).config()
+        run_of("kmeans", "tdnuca", scale=GOLDEN_SERVICE_SCALE).to_config()
     ).run("kmeans", "tdnuca").stats_dict()
 
     queue = make_queue(
@@ -119,16 +120,16 @@ def test_poison_job_quarantined_while_healthy_jobs_complete(tmp_path):
     async def go():
         await queue.start()
         poison = queue.submit(
-            RunSpec("histo", "tdnuca", scale=GOLDEN_SERVICE_SCALE)
+            run_of("histo", "tdnuca", scale=GOLDEN_SERVICE_SCALE)
         )
         healthy = queue.submit(
-            RunSpec("kmeans", "tdnuca", scale=GOLDEN_SERVICE_SCALE)
+            run_of("kmeans", "tdnuca", scale=GOLDEN_SERVICE_SCALE)
         )
         await _wait_settled(poison)
         await _wait_settled(healthy)
         # The server keeps serving after the quarantine.
         late = queue.submit(
-            RunSpec("jacobi", "tdnuca", scale=GOLDEN_SERVICE_SCALE)
+            run_of("jacobi", "tdnuca", scale=GOLDEN_SERVICE_SCALE)
         )
         await _wait_settled(late)
         await queue.drain(grace=0.5)
@@ -156,7 +157,7 @@ def test_drain_is_bounded_while_a_worker_is_wedged(tmp_path):
 
     async def go():
         await queue.start()
-        job = queue.submit(RunSpec("md5", "tdnuca", scale=2048))
+        job = queue.submit(run_of("md5", "tdnuca", scale=2048))
         # Let the worker reach the wedge point.
         deadline = time.monotonic() + 30.0
         while not queue.pool.stats()["busy"]:

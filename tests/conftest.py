@@ -9,6 +9,7 @@ import pytest
 from repro.config import LatencyConfig, SystemConfig
 from repro.mem.address import AddressMap
 from repro.noc.topology import Mesh
+from repro.scenario import MachineSpec, Scenario
 
 
 def tiny_config(**overrides) -> SystemConfig:
@@ -20,6 +21,27 @@ def tiny_config(**overrides) -> SystemConfig:
         nondep_blocks_per_task=0,
     )
     return replace(base, **overrides) if overrides else base
+
+
+def run_of(workload: str, policy: str, *, scale: int = 64,
+           mesh: tuple[int, int] | None = None, **fields) -> Scenario:
+    """A run scenario of one cell on a ``1/scale`` machine (``mesh`` a
+    ``(width, height)`` pair; clusters stay 2x2), as service tests submit."""
+    width, height = mesh or (4, 4)
+    return Scenario(
+        name=f"{workload}-{policy}", workload=workload, policy=policy,
+        machine=MachineSpec(scale=scale, mesh_width=width,
+                            mesh_height=height),
+        **fields,
+    )
+
+
+def sweep_of(workloads, policies, *, scale: int = 64, **fields) -> Scenario:
+    """A sweep scenario of the ``workloads`` x ``policies`` grid."""
+    return Scenario(
+        name="sweep", workloads=tuple(workloads), policies=tuple(policies),
+        machine=MachineSpec(scale=scale), **fields,
+    )
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from repro.cli import build_parser, main
-from repro.service.queue import spec_from_dict
+from repro.service.queue import Job, scenario_from_body, service_form
 
 
 class TestScenarioSubcommands:
@@ -109,44 +109,41 @@ class TestSubmitDispatch:
         [(method, path, body)] = posted
         assert (method, path) == ("POST", "/v1/run")
         assert set(body) == {"scenario"}
-        spec = spec_from_dict({**body, "kind": "run"})
-        assert spec.workload == "md5" and spec.policy == "tdnuca"
-        assert spec.scale == 1024
-        assert spec.mesh == (8, 8) and spec.cluster == (4, 4)
+        scenario = scenario_from_body(body["scenario"], "run")
+        assert scenario.workload == "md5" and scenario.policy == "tdnuca"
+        machine = scenario.machine
+        assert machine.scale == 1024
+        assert (machine.mesh_width, machine.mesh_height) == (8, 8)
+        assert (machine.cluster_width, machine.cluster_height) == (4, 4)
 
 
 class TestServiceBoundary:
     def test_scenario_body_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            spec_from_dict({"kind": "run", "scenario": "stress-8x8"})
+            scenario_from_body("stress-8x8", "run")
 
     def test_kind_endpoint_mismatch_rejected(self):
         with pytest.raises(ValueError, match="sweep"):
-            spec_from_dict({"kind": "sweep", "scenario": "stress-8x8"})
+            scenario_from_body("stress-8x8", "sweep")
 
     def test_multiprog_scenario_rejected_with_guidance(self):
         with pytest.raises(ValueError, match="repro run"):
-            spec_from_dict({"kind": "run", "scenario": "multiprog-duo"})
+            scenario_from_body("multiprog-duo", "run")
 
     def test_wire_geometry_round_trips(self):
-        spec = spec_from_dict(
-            {"kind": "run", "workload": "kmeans", "policy": "tdnuca",
-             "scale": 1024, "mesh": [8, 8], "rrt_entries": 16}
+        # A job's one serialized form (worker payloads, claims, shards,
+        # job records) parses back to the same job and machine.
+        scenario = scenario_from_body(
+            {"name": "t", "workload": "kmeans", "policy": "tdnuca",
+             "machine": {"scale": 1024, "mesh": "8x8", "rrt_entries": 16}},
+            "run",
         )
-        again = spec_from_dict(spec.to_dict())
-        assert again == spec
-        assert again.config().num_cores == 64
-        assert again.config().rrt_entries == 16
-
-    def test_default_spec_wire_format_is_unchanged(self):
-        # Pre-scenario bodies must serialize byte-identically (poison
-        # keys, spool files and old clients depend on it): no geometry
-        # keys unless geometry was requested.
-        spec = spec_from_dict(
-            {"kind": "run", "workload": "kmeans", "policy": "tdnuca"}
-        )
-        assert set(spec.to_dict()) == {
-            "kind", "workload", "policy", "seed", "scale", "faults",
-            "strict", "kernel",
-        }
+        job = Job(id="j", scenario=service_form(scenario))
+        again = Job(id="j", scenario=service_form(
+            scenario_from_body(job.scenario.to_dict(), "run")
+        ))
+        assert again.scenario == job.scenario
+        assert again.key == job.key
+        assert again.scenario.to_config().num_cores == 64
+        assert again.scenario.to_config().rrt_entries == 16

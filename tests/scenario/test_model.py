@@ -63,6 +63,32 @@ class TestParse:
         assert "exp.yaml" in str(excinfo.value)
         assert "machine.mesh" in str(excinfo.value)
 
+    @pytest.mark.parametrize("machine, field", [
+        ({"scale": True}, "machine.scale"),
+        ({"scale": False}, "machine.scale"),
+        ({"scale": 1024, "rrt_entries": True}, "machine.rrt_entries"),
+    ])
+    def test_boolean_sizes_rejected(self, machine, field):
+        # ``True`` is an int to isinstance: it would compile as 1, the
+        # full Table-I machine or a one-entry RRT.
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario({**MINIMAL, "machine": machine})
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("machine, field", [
+        (MachineSpec(scale=True), "machine.scale"),
+        (MachineSpec(scale=1024, rrt_entries=True), "machine.rrt_entries"),
+        (MachineSpec(scale=1024, rrt_entries=0), "machine.rrt_entries"),
+    ])
+    def test_validate_rejects_boolean_and_non_positive_sizes(
+        self, machine, field
+    ):
+        scenario = Scenario(name="t", workload="kmeans", policy="tdnuca",
+                            machine=machine)
+        with pytest.raises(ScenarioError) as excinfo:
+            scenario.validate()
+        assert excinfo.value.field == field
+
     @pytest.mark.parametrize(
         "mesh", ["8x8", [8, 8], {"width": 8, "height": 8}]
     )

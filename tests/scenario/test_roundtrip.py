@@ -1,9 +1,10 @@
 """The PR's acceptance invariant: one logical run, four front doors.
 
 The same experiment expressed as (a) a curated YAML scenario, (b) CLI
-flags, (c) Session kwargs and (d) a service submission body must compile
-to the identical ``config_sha256`` — and actually running it must produce
-byte-identical ``MachineStats`` regardless of the door it came through.
+flags, (c) Session kwargs and (d) a service submission body (by name or by
+value) must compile to the identical ``config_sha256`` — and actually
+running it must produce byte-identical ``MachineStats`` regardless of the
+door it came through.
 """
 
 import json
@@ -12,15 +13,11 @@ from repro.api import Session, run_scenario
 from repro.cli import _cfg, build_parser
 from repro.scenario import Scenario, load_scenario
 from repro.service.cache import request_key
-from repro.service.queue import spec_from_dict
+from repro.service.queue import scenario_from_body
 from repro.snapshot.format import config_sha256
 
 SCENARIO = "stress-8x8"  # kmeans/tdnuca, 8x8 mesh, 1/1024 scale
 CLI_FLAGS = ["run", "kmeans", "tdnuca", "--scale", "1024", "--mesh", "8x8"]
-LEGACY_BODY = {
-    "kind": "run", "workload": "kmeans", "policy": "tdnuca",
-    "scale": 1024, "mesh": [8, 8],
-}
 
 
 def _canon(result) -> str:
@@ -32,24 +29,21 @@ class TestFingerprintIdentity:
     def test_yaml_cli_service_agree(self):
         yaml_sha = config_sha256(load_scenario(SCENARIO).to_config())
         cli_sha = config_sha256(_cfg(build_parser().parse_args(CLI_FLAGS)))
-        by_name = spec_from_dict({"kind": "run", "scenario": SCENARIO})
-        by_value = spec_from_dict(
-            {"kind": "run",
-             "scenario": load_scenario(SCENARIO).to_dict()}
+        by_name = scenario_from_body(SCENARIO, "run")
+        by_value = scenario_from_body(
+            load_scenario(SCENARIO).to_dict(), "run"
         )
-        legacy = spec_from_dict(dict(LEGACY_BODY))
         assert cli_sha == yaml_sha
-        assert config_sha256(by_name.config()) == yaml_sha
-        assert config_sha256(by_value.config()) == yaml_sha
-        assert config_sha256(legacy.config()) == yaml_sha
+        assert config_sha256(by_name.to_config()) == yaml_sha
+        assert config_sha256(by_value.to_config()) == yaml_sha
 
     def test_service_cache_key_agrees_across_doors(self):
         scenario = load_scenario(SCENARIO)
-        by_name = spec_from_dict({"kind": "run", "scenario": SCENARIO})
-        legacy = spec_from_dict(dict(LEGACY_BODY))
+        by_name = scenario_from_body(SCENARIO, "run")
+        by_value = scenario_from_body(scenario.to_dict(), "run")
         keys = {
-            request_key(spec.config(), "kmeans", "tdnuca", spec.seed)
-            for spec in (by_name, legacy)
+            request_key(sc.to_config(), "kmeans", "tdnuca", sc.seed)
+            for sc in (by_name, by_value)
         }
         keys.add(
             request_key(scenario.to_config(), "kmeans", "tdnuca",

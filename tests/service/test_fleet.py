@@ -1,20 +1,25 @@
 """Fleet coordination: leases, fenced claims, stealing, shared poison.
 
-Everything here drives :class:`FleetNode` instances directly over one
-shared ``tmp_path`` fleet directory — no servers, no subprocesses, tiny
-lease timeouts.  The multi-server kill/fence scenarios live in
+Everything here drives :class:`FleetNode` instances (and, for version
+skew, one :class:`JobQueue`'s fleet tick) directly over one shared
+``tmp_path`` fleet directory — no servers, no subprocesses, tiny lease
+timeouts.  The multi-server kill/fence scenarios live in
 ``test_fleet_chaos.py`` (``-m chaos``) and ``scripts/fleet_smoke.py``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import time
+import warnings
 
 import pytest
 
 from repro import failpoints
+from repro.cli import main
+from repro.service.cache import ResultCache
 from repro.service.fleet import (
     DEAD_FACTOR,
     DEFAULT_HOST_LEASE_TIMEOUT,
@@ -24,8 +29,16 @@ from repro.service.fleet import (
     fleet_status,
     job_key,
 )
+from repro.service.queue import JobQueue, service_form
+from tests.conftest import run_of, sweep_of
 
-SPEC = {"kind": "run", "workload": "md5", "policy": "tdnuca", "scale": 2048}
+#: the serialized form of a job: its service-form scenario's to_dict().
+SPEC = {"scenario": 1, "name": "md5/tdnuca", "workload": "md5",
+        "policy": "tdnuca", "machine": {"scale": 2048}}
+
+
+def at_scale(scale):
+    return {**SPEC, "machine": {"scale": scale}}
 
 
 def node(tmp_path, host, **kw):
@@ -41,7 +54,7 @@ class TestIdentity:
         assert len(a) == 16
 
     def test_job_key_separates_specs(self):
-        assert job_key(SPEC) != job_key({**SPEC, "scale": 512})
+        assert job_key(SPEC) != job_key(at_scale(512))
 
     def test_default_host_id_carries_the_pid(self):
         assert default_host_id().endswith(f"-{os.getpid()}")
@@ -293,7 +306,7 @@ class TestStealing:
         a.register()
         b.register()
         b.scan()
-        specs = [{**SPEC, "scale": s} for s in (128, 256, 512)]
+        specs = [at_scale(s) for s in (128, 256, 512)]
         for i, spec in enumerate(specs):
             a.enqueue(job_key(spec), spec, job_id=f"j{i}")
         stolen = b.steal(own_depth=0, limit=1)
@@ -346,13 +359,29 @@ class TestStatusAndInspection:
         b.register()
         key = job_key(SPEC)
         a.try_claim(key, SPEC)
-        b.enqueue(job_key({**SPEC, "scale": 64}), {**SPEC, "scale": 64},
-                  job_id="j2")
+        b.enqueue(job_key(at_scale(64)), at_scale(64), job_id="j2")
         status = fleet_status(tmp_path / "fleet")
         assert {h["host_id"] for h in status["hosts"]} == {"a", "b"}
         assert status["claims"][0]["owner"] == "a"
         assert status["queued"]["b"] == 1
         assert status["results"] == 0 and status["snapshots"] == 0
+
+    def test_fleet_status_labels_run_and_sweep_claims(self, tmp_path, capsys):
+        a = node(tmp_path, "a")
+        a.register()
+        for scenario in (
+            run_of("md5", "tdnuca", scale=2048),
+            sweep_of(["md5"], ["snuca", "tdnuca"], scale=2048),
+        ):
+            form = service_form(scenario).to_dict()
+            assert a.try_claim(job_key(form), form) is not None
+        status = fleet_status(tmp_path / "fleet")
+        assert sorted(c["label"] for c in status["claims"]) == [
+            "md5/tdnuca", "sweep:1x2",
+        ]
+        assert main(["fleet", "status", str(tmp_path / "fleet")]) == 0
+        out = capsys.readouterr().out
+        assert "md5/tdnuca" in out and "sweep:1x2" in out
 
     def test_fleet_status_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -375,3 +404,45 @@ class TestFailpointSites:
                 a.try_claim(job_key(SPEC), SPEC)
         finally:
             failpoints.reset()
+
+
+class TestVersionSkew:
+    def test_a_3x_flat_claim_is_settled_once_and_not_readopted(
+        self, tmp_path
+    ):
+        """A claim written by a 3.x host holds a flat ``spec`` and no
+        scenario: the first tick warns and settles it, the next finds
+        nothing to adopt."""
+        fleet = FleetNode(tmp_path / "fleet", host_id="h4",
+                          lease_timeout=30.0)
+        key = "0123456789abcdef"
+        flat = {"kind": "run", "workload": "md5", "policy": "tdnuca",
+                "seed": 0, "scale": 2048, "faults": "", "strict": False,
+                "kernel": "auto"}
+        # owned by a host with no lease file: gone, so reclaimable now
+        fleet.claim_path(key).write_text(json.dumps({
+            "key": key, "spec": flat, "owner": "h3", "epoch": 1,
+            "host_deaths": 0, "prev_owner": None,
+        }))
+        queue = JobQueue(
+            workers=1, spool_dir=tmp_path / "spool",
+            cache=ResultCache(tmp_path / "cache"), fleet=fleet,
+        )
+
+        async def go():
+            await queue.start()
+            try:
+                with pytest.warns(UserWarning,
+                                  match=f"unparseable fleet claim {key}"):
+                    queue._fleet_tick()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    queue._fleet_tick()
+            finally:
+                await queue.drain(grace=0.5)
+
+        asyncio.run(go())
+        assert not fleet.claim_path(key).exists()
+        assert fleet.reclaims == 1
+        assert queue.adopted == 0 and queue.jobs == {}
+        assert fleet_status(tmp_path / "fleet")["claims"] == []

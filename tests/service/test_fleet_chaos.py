@@ -21,7 +21,8 @@ from repro.api import Session
 from repro.config import scaled_config
 from repro.service.cache import ResultCache, request_key
 from repro.service.fleet import FleetNode, job_key
-from repro.service.queue import JobQueue, RunSpec
+from repro.service.queue import JobQueue, service_form
+from tests.conftest import run_of
 
 pytestmark = pytest.mark.chaos
 
@@ -90,9 +91,9 @@ def test_duplicate_submit_to_a_peer_is_a_shared_store_hit(
         await q1.start()
         await q2.start()
         try:
-            j1 = q1.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            j1 = q1.submit(run_of("md5", "tdnuca", scale=SCALE))
             await _settled(j1)
-            j2 = q2.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            j2 = q2.submit(run_of("md5", "tdnuca", scale=SCALE))
             await _settled(j2)
             return j1, j2, q1, q2
         finally:
@@ -126,7 +127,7 @@ def test_drained_hosts_job_is_stolen_and_finished_by_a_peer(
         await q1.start()
         await q2.start()
         try:
-            job = q1.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            job = q1.submit(run_of("md5", "tdnuca", scale=SCALE))
             await _wait(
                 lambda: job.fleet_claim is not None,
                 "h1 to claim its job",
@@ -152,7 +153,7 @@ def test_drained_hosts_job_is_stolen_and_finished_by_a_peer(
     assert q2.fleet.steals == 1
     assert _same(ghost.result, reference)
     # The settled claim is gone; the shared store answers the key.
-    key = job_key(RunSpec("md5", "tdnuca", scale=SCALE).to_dict())
+    key = job_key(service_form(run_of("md5", "tdnuca", scale=SCALE)).to_dict())
     assert not (q2.fleet.claim_path(key)).is_file()
     assert q2.cache.fleet_path_for(
         request_key(scaled_config(1 / SCALE), "md5", "tdnuca", 0)
@@ -162,13 +163,13 @@ def test_drained_hosts_job_is_stolen_and_finished_by_a_peer(
 def test_dead_hosts_claim_is_reclaimed_and_run_as_ghost(
     tmp_path, reference
 ):
-    spec = RunSpec("md5", "tdnuca", scale=SCALE)
-    key = job_key(spec.to_dict())
+    scenario = service_form(run_of("md5", "tdnuca", scale=SCALE))
+    key = job_key(scenario.to_dict())
     # A host that claimed the job and then went silent forever — the
     # in-process stand-in for kill -9 (the smoke does it for real).
     dead = FleetNode(tmp_path / "fleet", host_id="dead", lease_timeout=0.2)
     dead.register()
-    assert dead.try_claim(key, spec.to_dict()) is not None
+    assert dead.try_claim(key, scenario.to_dict()) is not None
 
     async def go():
         q2 = fleet_queue(tmp_path, "h2", lease_timeout=0.2)

@@ -18,18 +18,20 @@ import pytest
 
 from repro.api import Session
 from repro.config import scaled_config
+from repro.scenario import load_scenario
 from repro.service import queue as queue_module
 from repro.service.cache import ResultCache, request_key
 from repro.service.envelope import ServiceError
 from repro.service.queue import (
     CircuitBreaker,
     EventBuffer,
+    Job,
     JobQueue,
-    RunSpec,
-    SweepSpec,
-    spec_from_dict,
+    scenario_from_body,
+    service_form,
 )
 from repro.snapshot import PreemptedError
+from tests.conftest import run_of, sweep_of
 
 SCALE = 2048
 CFG = scaled_config(1 / SCALE)
@@ -59,45 +61,137 @@ def reference_result(workload="md5", policy="tdnuca", seed=0):
     return rr.stats_dict()
 
 
+def job_of(scenario):
+    """The job record the queue would admit ``scenario`` as."""
+    return Job(id="j", scenario=service_form(scenario))
+
+
 class TestSpecs:
     def test_run_spec_round_trip(self):
-        spec = spec_from_dict(
-            {"kind": "run", "workload": "md5", "policy": "tdnuca",
-             "scale": SCALE}
+        scenario = scenario_from_body(
+            {"name": "t", "workload": "md5", "policy": "tdnuca",
+             "machine": {"scale": SCALE}},
+            "run",
         )
-        assert isinstance(spec, RunSpec)
-        assert spec.to_dict()["workload"] == "md5"
-        assert spec.cells() == [("md5", "tdnuca")]
+        job = job_of(scenario)
+        assert job.scenario.to_dict()["workload"] == "md5"
+        assert job.cells == [("md5", "tdnuca")]
+        assert job.label == "md5/tdnuca"
+        # the record's scenario is the one serialized form: it parses
+        # back to the same job
+        again = job_of(scenario_from_body(job.to_dict()["scenario"], "run"))
+        assert again.scenario == job.scenario and again.key == job.key
 
     def test_sweep_spec_cells(self):
-        spec = spec_from_dict(
-            {"kind": "sweep", "workloads": ["md5"],
-             "policies": ["snuca", "tdnuca"], "scale": SCALE}
+        scenario = scenario_from_body(
+            {"name": "t", "machine": {"scale": SCALE},
+             "sweep": {"workloads": ["md5"], "policies": ["snuca", "tdnuca"]}},
+            "sweep",
         )
-        assert isinstance(spec, SweepSpec)
-        assert spec.cells() == [("md5", "snuca"), ("md5", "tdnuca")]
+        job = job_of(scenario)
+        assert job.cells == [("md5", "snuca"), ("md5", "tdnuca")]
+        assert job.cells_total == 2
+        assert job.label == "sweep:1x2"
 
+    # Each scenario goes to the run endpoint.  The explicit ids are the
+    # ones these cases had as flat specs.
     @pytest.mark.parametrize("raw, needle", [
-        ({"kind": "run", "workload": "nope", "policy": "tdnuca"}, "workload"),
-        ({"kind": "run", "workload": "md5", "policy": "nope"}, "policy"),
-        ({"kind": "run", "workload": "md5"}, "policy"),
-        ({"kind": "run", "workload": "md5", "policy": "tdnuca",
-          "scale": 0}, "scale"),
-        ({"kind": "sweep", "workloads": [], "policies": ["snuca"]},
-         "at least one"),
-        ({"kind": "teapot"}, "kind"),
-        ("not a dict", "JSON object"),
+        ({"name": "t", "workload": "nope", "policy": "tdnuca"}, "workload"),
+        ({"name": "t", "workload": "md5", "policy": "nope"}, "policy"),
+        ({"name": "t", "workload": "md5"}, "policy"),
+        ({"name": "t", "workload": "md5", "policy": "tdnuca",
+          "machine": {"scale": 0}}, "scale"),
+        pytest.param(
+            {"name": "t", "sweep": {"workloads": [], "policies": ["snuca"]}},
+            "non-empty", id="raw4-at least one",
+        ),
+        pytest.param(
+            {"name": "t", "sweep": {"workloads": ["md5"],
+                                    "policies": ["snuca"]}},
+            "is a sweep but was submitted to the run endpoint",
+            id="raw5-kind",
+        ),
+        pytest.param(["not", "a", "dict"], "expected a mapping",
+                     id="not a dict-JSON object"),
     ])
     def test_invalid_specs_rejected_with_named_cause(self, raw, needle):
         with pytest.raises(ValueError, match=needle):
-            spec_from_dict(raw)
+            scenario_from_body(raw, "run")
 
     def test_bad_fault_spec_rejected_at_submission(self):
         with pytest.raises(ValueError):
-            spec_from_dict(
-                {"kind": "run", "workload": "md5", "policy": "tdnuca",
-                 "scale": SCALE, "faults": "utter nonsense"}
+            scenario_from_body(
+                {"name": "t", "workload": "md5", "policy": "tdnuca",
+                 "machine": {"scale": SCALE}, "faults": "utter nonsense"},
+                "run",
             )
+
+
+class TestIdentity:
+    """A job's identity is its service-form scenario: what the service
+    never reads (name, description, trace, checkpoint) is not part of it."""
+
+    VARIANTS = {
+        "named": {"name": "first", "workload": "kmeans", "policy": "tdnuca",
+                  "machine": {"scale": 1024}},
+        "renamed": {"name": "second", "workload": "kmeans",
+                    "policy": "tdnuca", "machine": {"scale": 1024}},
+        "described": {"name": "third", "description": "a kmeans run",
+                      "workload": "kmeans", "policy": "tdnuca",
+                      "machine": {"scale": 1024}},
+        "checkpointed": {"name": "fourth", "workload": "kmeans",
+                         "policy": "tdnuca", "machine": {"scale": 1024},
+                         "checkpoint": {"every": 8}},
+    }
+
+    def variants(self):
+        out = {name: scenario_from_body(raw, "run")
+               for name, raw in self.VARIANTS.items()}
+        # the curated traced-kmeans and the same run without its trace
+        # block (nor its name and description)
+        out["traced-kmeans"] = scenario_from_body("traced-kmeans", "run")
+        untraced = dict(load_scenario("traced-kmeans").to_dict())
+        for key in ("trace", "description"):
+            untraced.pop(key)
+        untraced["name"] = "untraced"
+        out["untraced"] = scenario_from_body(untraced, "run")
+        return out
+
+    def test_one_job_key_for_every_name_description_and_trace(self):
+        jobs = {name: job_of(sc) for name, sc in self.variants().items()}
+        assert len({job.key for job in jobs.values()}) == 1
+        assert len({json.dumps(job.to_dict()["scenario"], sort_keys=True)
+                    for job in jobs.values()}) == 1
+        assert jobs["named"].scenario.name == "kmeans/tdnuca"
+
+    def test_one_poison_key_for_every_name_description_and_trace(
+        self, tmp_path
+    ):
+        queue = make_queue(tmp_path)
+        variants = self.variants()
+        key = job_of(variants["named"]).key
+        queue.poisoned[key] = "bundle.json"
+
+        async def go():
+            await queue.start()
+            for scenario in variants.values():
+                with pytest.raises(ServiceError) as exc:
+                    queue.submit(scenario)
+                assert exc.value.type == "poisoned"
+                assert key in exc.value.message
+
+        run_async(go())
+
+    def test_other_runs_have_other_keys(self):
+        base = job_of(run_of("kmeans", "tdnuca", scale=1024)).key
+        for other in (
+            run_of("kmeans", "snuca", scale=1024),
+            run_of("kmeans", "tdnuca", scale=512),
+            run_of("kmeans", "tdnuca", scale=1024, seed=1),
+            run_of("kmeans", "tdnuca", scale=1024, kernel="reference"),
+            sweep_of(["kmeans"], ["tdnuca"], scale=1024),
+        ):
+            assert job_of(other).key != base
 
 
 class TestEventBuffer:
@@ -195,14 +289,14 @@ class TestRetries:
             calls["n"] += 1
             if calls["n"] < 3:
                 raise RuntimeError("spurious infrastructure burp")
-            job.partial[job.spec.label] = {"makespan_cycles": 1}
+            job.partial[job.label] = {"makespan_cycles": 1}
             job.cells_done += 1
 
         queue._attempt = flaky
 
         async def go():
             await queue.start()
-            job = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            job = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await wait_settled(job)
             return job
 
@@ -224,7 +318,7 @@ class TestRetries:
 
         async def go():
             await queue.start()
-            job = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            job = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await wait_settled(job)
             return job
 
@@ -245,7 +339,7 @@ class TestRetries:
 
         async def go():
             await queue.start()
-            job = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            job = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await wait_settled(job)
             return job
 
@@ -266,10 +360,10 @@ class TestSaturation:
 
         async def go():
             await queue.start()
-            queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
-            queue.submit(RunSpec("md5", "snuca", scale=SCALE))
+            queue.submit(run_of("md5", "tdnuca", scale=SCALE))
+            queue.submit(run_of("md5", "snuca", scale=SCALE))
             with pytest.raises(ServiceError) as exc:
-                queue.submit(RunSpec("md5", "rnuca", scale=SCALE))
+                queue.submit(run_of("md5", "rnuca", scale=SCALE))
             assert exc.value.type == "saturated"
             assert exc.value.status == 503
             assert exc.value.retryable
@@ -288,9 +382,9 @@ class TestCacheIntegration:
 
         async def go():
             await queue.start()
-            first = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            first = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await wait_settled(first)
-            second = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            second = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             return first, second
 
         first, second = run_async(go())
@@ -303,12 +397,32 @@ class TestCacheIntegration:
         assert queue.simulations_run == 1
         assert second.result == first.result
 
+    def test_hits_share_the_cold_jobs_result_dict(self, tmp_path):
+        """The job that simulated a cell seeds the dict its cache hits
+        share: no hit decodes a copy of its own."""
+        queue = make_queue(tmp_path)
+
+        async def go():
+            await queue.start()
+            cold = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
+            await wait_settled(cold)
+            hits = [queue.submit(run_of("md5", "tdnuca", scale=SCALE))
+                    for _ in range(3)]
+            return cold, hits
+
+        cold, hits = run_async(go())
+        assert cold.simulated == 1
+        assert all(hit.cache_hit for hit in hits)
+        assert all(hit.result is cold.result for hit in hits)
+        # every hit still read (and CRC-checked) the cache entry
+        assert queue.cache.hits >= 3
+
     def test_cached_result_is_byte_identical_to_plain_run(self, tmp_path):
         queue = make_queue(tmp_path)
 
         async def go():
             await queue.start()
-            job = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            job = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await wait_settled(job)
             return job
 
@@ -323,7 +437,7 @@ class TestCacheIntegration:
 
         async def go(expect_hit):
             await queue.start()
-            job = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            job = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await wait_settled(job)
             assert job.state == "done"
             assert (job.cache_hits == 1) is expect_hit
@@ -348,11 +462,11 @@ class TestCacheIntegration:
 
         async def go():
             await queue.start()
-            one = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            one = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await wait_settled(one)
-            sweep = queue.submit(SweepSpec(
-                ("md5",), ("snuca", "tdnuca"), scale=SCALE
-            ))
+            sweep = queue.submit(
+                sweep_of(["md5"], ["snuca", "tdnuca"], scale=SCALE)
+            )
             await wait_settled(sweep)
             return sweep
 
@@ -374,7 +488,7 @@ class TestEvictionAndDrain:
 
         async def go():
             await queue.start()
-            job = queue.submit(RunSpec("lu", "tdnuca", scale=512))
+            job = queue.submit(run_of("lu", "tdnuca", scale=512))
             await wait_settled(job, timeout=120)
             return job
 
@@ -399,7 +513,7 @@ class TestEvictionAndDrain:
                 checkpoint_every=25,
             )
             await queue.start()
-            job = queue.submit(RunSpec("lu", "tdnuca", scale=512))
+            job = queue.submit(run_of("lu", "tdnuca", scale=512))
             await asyncio.sleep(0.3)
             stopped = await queue.drain(grace=30.0)
             return queue, job, stopped
@@ -411,7 +525,7 @@ class TestEvictionAndDrain:
         snaps = list(spool.glob("*.snap"))
         assert len(snaps) == 1
         with pytest.raises(ServiceError) as exc:
-            queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            queue.submit(run_of("md5", "tdnuca", scale=SCALE))
         assert exc.value.type == "draining"
 
         async def resumed():
@@ -419,7 +533,7 @@ class TestEvictionAndDrain:
                 tmp_path, spool_dir=spool, cache=ResultCache(cache_dir)
             )
             await queue2.start()
-            job2 = queue2.submit(RunSpec("lu", "tdnuca", scale=512))
+            job2 = queue2.submit(run_of("lu", "tdnuca", scale=512))
             await wait_settled(job2, timeout=120)
             return job2
 
@@ -438,7 +552,7 @@ class TestTimeout:
 
         async def go():
             await queue.start()
-            job = queue.submit(RunSpec("lu", "tdnuca", scale=512))
+            job = queue.submit(run_of("lu", "tdnuca", scale=512))
             await wait_settled(job, timeout=120)
             return job
 
@@ -461,23 +575,23 @@ class TestJobTable:
         hold = threading.Event()
 
         def attempt(job, budget):
-            spec = job.spec
-            n = attempts[spec.label] = attempts.get(spec.label, 0) + 1
-            if spec.workload == "knn":  # held until the drain
+            scenario = job.scenario
+            n = attempts[job.label] = attempts.get(job.label, 0) + 1
+            if scenario.workload == "knn":  # held until the drain
                 hold.wait(10.0)
-            if spec.policy == "rnuca":
+            if scenario.policy == "rnuca":
                 raise ValueError("deterministic failure")
-            if spec.policy == "snuca" and n == 1:
+            if scenario.policy == "snuca" and n == 1:
                 raise RuntimeError("transient failure")
-            if spec.policy == "dnuca" and n == 1:
+            if scenario.policy == "dnuca" and n == 1:
                 raise PreemptedError(tmp_path / "evicted.snap", 3)
             result = {"makespan_cycles": n}
             queue.cache.put(
-                request_key(spec.config(), spec.workload, spec.policy,
-                            spec.seed),
+                request_key(scenario.to_config(), scenario.workload,
+                            scenario.policy, scenario.seed),
                 result,
             )
-            job.partial[spec.label] = result
+            job.partial[job.label] = result
             job.cells_done += 1
             job.simulated += 1
 
@@ -492,16 +606,16 @@ class TestJobTable:
         async def go():
             await queue.start()
             check(0)
-            cold = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            cold = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             check(1)
             await wait_settled(cold)
             check(0)
             for _ in range(3):  # cache hits settle inside submit
                 assert queue.submit(
-                    RunSpec("md5", "tdnuca", scale=SCALE)
+                    run_of("md5", "tdnuca", scale=SCALE)
                 ).state == "done"
                 check(0)
-            jobs = [queue.submit(RunSpec("md5", policy, scale=SCALE))
+            jobs = [queue.submit(run_of("md5", policy, scale=SCALE))
                     for policy in ("rnuca", "snuca", "dnuca")]
             check(3)
             for job in jobs:
@@ -509,7 +623,7 @@ class TestJobTable:
             check(0)
             assert [j.state for j in jobs] == ["failed", "done", "done"]
             assert jobs[1].attempts == 2 and jobs[2].evictions == 1
-            held = [queue.submit(RunSpec("knn", policy, scale=SCALE))
+            held = [queue.submit(run_of("knn", policy, scale=SCALE))
                     for policy in ("tdnuca", "snuca")]
             while held[0].state != "running":
                 await asyncio.sleep(0.01)
@@ -533,10 +647,10 @@ class TestJobTable:
         that names the retention."""
         monkeypatch.setattr(queue_module, "KEEP_FINISHED", 40)
         queue = make_queue(tmp_path)
-        specs = [RunSpec("md5", "tdnuca", scale=SCALE, seed=s)
+        specs = [run_of("md5", "tdnuca", scale=SCALE, seed=s)
                  for s in range(100)]
         for spec in specs:
-            key = request_key(spec.config(), "md5", "tdnuca", spec.seed)
+            key = request_key(spec.to_config(), "md5", "tdnuca", spec.seed)
             queue.cache.put(key, {"seed": spec.seed})
 
         async def go():

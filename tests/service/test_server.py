@@ -131,6 +131,27 @@ class TestEnvelopes:
         assert '{"scenario": "<library-name>"}' in error["message"]
         assert served.server.queue.stats()["submitted"] == 0
 
+    @pytest.mark.parametrize("machine, field", [
+        ({"scale": True}, "machine.scale"),
+        ({"scale": SCALE, "rrt_entries": True}, "machine.rrt_entries"),
+    ])
+    def test_boolean_sizes_are_typed_400_naming_the_field(
+        self, served, machine, field
+    ):
+        body = json.dumps({"scenario": {
+            "name": "t", "workload": "md5", "policy": "tdnuca",
+            "machine": machine,
+        }}).encode()
+        status, _, raw = served.raw(
+            "POST", "/v1/run", body=body,
+            headers={"Content-Length": str(len(body))},
+        )
+        error = json.loads(raw)["error"]
+        assert status == 400
+        assert error["type"] == "invalid-request"
+        assert field in error["message"]
+        assert served.server.queue.stats()["submitted"] == 0
+
     def test_unknown_job_id_is_404(self, served):
         client = ServiceClient(port=served.port, retries=0)
         with pytest.raises(ServiceError) as exc:
@@ -150,6 +171,14 @@ class TestRunLifecycle:
         assert data["result"]["workload"] == "md5"
         assert data["result"]["makespan_cycles"] > 0
 
+        # The record carries the scenario the service ran: named after
+        # the job label, without the client's name.
+        assert final["scenario"] == {
+            "scenario": 1, "name": "md5/tdnuca", "workload": "md5",
+            "policy": "tdnuca", "machine": {"scale": SCALE},
+        }
+        assert "spec" not in final
+
         dup = client.submit_scenario(cell("md5", "tdnuca"))
         assert dup["state"] == "done"  # settled synchronously from cache
         assert dup["simulated"] == 0 and dup["cache_hits"] == 1
@@ -160,6 +189,25 @@ class TestRunLifecycle:
         health = client.health()
         assert health["queue"]["simulations_run"] == 1
         assert health["cache"]["hits"] >= 1
+
+    def test_a_cache_hit_compiles_its_config_at_most_twice(
+        self, served, monkeypatch
+    ):
+        """Once to validate the posted scenario, once for the request
+        keys of its cells (three times with the flat spec dict)."""
+        client = ServiceClient(port=served.port)
+        client.wait(client.submit_scenario(cell("md5", "tdnuca"))["id"])
+        compiles = []
+        to_config = Scenario.to_config
+
+        def counting(scenario):
+            compiles.append(scenario.name)
+            return to_config(scenario)
+
+        monkeypatch.setattr(Scenario, "to_config", counting)
+        dup = client.submit_scenario(cell("md5", "tdnuca"))
+        assert dup["state"] == "done" and dup["cache_hits"] == 1
+        assert 1 <= len(compiles) <= 2
 
     def test_result_before_done_is_404(self, served):
         client = ServiceClient(port=served.port, retries=0)

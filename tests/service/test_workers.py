@@ -17,6 +17,7 @@ import ast
 import asyncio
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -27,13 +28,16 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import failpoints
+from repro import failpoints, template
 from repro.api import Session
 from repro.config import scaled_config
+from repro.scenario import Scenario
+from repro.service import workers
 from repro.service.cache import ResultCache
 from repro.service.envelope import ServiceError
-from repro.service.queue import Job, JobQueue, RunSpec
+from repro.service.queue import Job, JobQueue, service_form
 from repro.service.workers import WorkerDied, WorkerPool
+from tests.conftest import run_of
 
 SCALE = 2048
 CFG = scaled_config(1 / SCALE)
@@ -66,15 +70,21 @@ def make_queue(tmp_path, **kw):
     return JobQueue(**kw)
 
 
-def submit_and_settle(queue, spec, timeout=120.0):
+def submit_and_settle(queue, scenario, timeout=120.0):
     async def go():
         await queue.start()
-        job = queue.submit(spec)
+        job = queue.submit(scenario)
         await wait_settled(job, timeout=timeout)
         await queue.drain(grace=0.5)
         return job
 
     return run_async(go())
+
+
+def md5_job():
+    """A job record of md5/tdnuca at the test scale."""
+    return Job(id="j", scenario=service_form(run_of("md5", "tdnuca",
+                                                    scale=SCALE)))
 
 
 def reference_result():
@@ -113,10 +123,11 @@ class TestForkedLaunch:
 
         monkeypatch.setattr(template, "AttemptHandle", Recording)
         pool = WorkerPool(1, spool=tmp_path)
-        job = Job(id="j", spec=RunSpec("md5", "tdnuca", scale=SCALE))
+        job = md5_job()
         # Attempt 1 installs, in its own failpoint registry, a crash that
-        # only attempt 2 would trip.  Attempt 2's payload carries no spec,
-        # so it crashes iff it inherited attempt 1's module state.
+        # only attempt 2 would trip.  Attempt 2's payload carries no
+        # failpoint spec, so it crashes iff it inherited attempt 1's
+        # module state.
         failpoints.configure("worker.start.crash=*@attempt:2")
         job.attempts = 1
         pool.run_attempt(job, None)
@@ -128,6 +139,28 @@ class TestForkedLaunch:
         assert job.simulated == 2
         pids = {p.pid for p in procs}
         assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_an_attempt_compiles_its_config_once(self, tmp_path, monkeypatch):
+        """The payload carries the scenario itself: the attempt body
+        compiles it once (twice from the flat spec dict)."""
+        pool = WorkerPool(1, spool=tmp_path, cache_dir=tmp_path / "cache")
+        job = md5_job()
+        job.attempts = 1
+        # what a forked child unpickles
+        payload = pickle.loads(pickle.dumps(pool._payload(job)))
+        assert payload["scenario"] == job.scenario
+        compiles = []
+        to_config = Scenario.to_config
+
+        def counting(scenario):
+            compiles.append(scenario.name)
+            return to_config(scenario)
+
+        monkeypatch.setattr(Scenario, "to_config", counting)
+        workers._run_cells(template.Attempt(payload))
+        assert compiles == ["md5/tdnuca"]
+        # the cell ran and was published to the cache
+        assert len(list((tmp_path / "cache").glob("*.rcache"))) == 1
 
     def test_template_preloads_repro_reached_only_through_sys_path(
         self, tmp_path
@@ -178,7 +211,7 @@ class TestForkedLaunch:
             pool, "_payload",
             lambda job: {**payload(job), "parent_pid": gone.pid},
         )
-        job = Job(id="j", spec=RunSpec("md5", "tdnuca", scale=SCALE))
+        job = md5_job()
         job.attempts = 1
         with pytest.raises(WorkerDied) as exc:
             pool.run_attempt(job, None)
@@ -192,7 +225,7 @@ class TestForkedLaunch:
 
         async def go():
             await queue.start()
-            job = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            job = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             deadline = time.monotonic() + 60
             while job.current_ck is None or not job.current_ck.ready:
                 assert time.monotonic() < deadline, "worker never got ready"
@@ -214,7 +247,7 @@ class TestForkedLaunch:
         # supervisor would report exit code 255 instead of signal 9.
         failpoints.configure("worker.hang=*@task_ge:1@param:60")
         pool = WorkerPool(1, spool=tmp_path)
-        job = Job(id="j", spec=RunSpec("md5", "tdnuca", scale=SCALE))
+        job = md5_job()
         job.attempts = 1
         died = []
 
@@ -244,7 +277,7 @@ class TestCrashRecovery:
         # snapshot exists below the crash point, so the retry resumes.
         failpoints.configure("worker.crash=*@attempt:1@task_ge:50")
         queue = make_queue(tmp_path, checkpoint_every=25)
-        job = submit_and_settle(queue, RunSpec("md5", "tdnuca", scale=SCALE))
+        job = submit_and_settle(queue, run_of("md5", "tdnuca", scale=SCALE))
         assert job.state == "done"
         assert job.worker_deaths == 1
         assert job.attempts == 2
@@ -270,7 +303,7 @@ class TestCrashRecovery:
         # Exit 99 before simulating anything — the spot-instance case.
         failpoints.configure("worker.start.crash=*@attempt:1")
         queue = make_queue(tmp_path)
-        job = submit_and_settle(queue, RunSpec("md5", "tdnuca", scale=SCALE))
+        job = submit_and_settle(queue, run_of("md5", "tdnuca", scale=SCALE))
         assert job.state == "done"
         assert job.worker_deaths == 1 and job.attempts == 2
         died = next(e for e in job.events.since(0)[0]
@@ -287,7 +320,7 @@ class TestCrashRecovery:
         queue = make_queue(
             tmp_path, checkpoint_every=25, lease_timeout=1.0
         )
-        job = submit_and_settle(queue, RunSpec("md5", "tdnuca", scale=SCALE))
+        job = submit_and_settle(queue, run_of("md5", "tdnuca", scale=SCALE))
         assert job.state == "done"
         assert job.worker_deaths == 1 and job.attempts == 2
         died = next(e for e in job.events.since(0)[0]
@@ -305,7 +338,7 @@ class TestCrashRecovery:
         # this is a WorkerJobError retried under the normal budget.
         failpoints.configure("worker.oom=*@attempt:1@task_ge:30@param:64")
         queue = make_queue(tmp_path, retries=1, checkpoint_every=25)
-        job = submit_and_settle(queue, RunSpec("md5", "tdnuca", scale=SCALE))
+        job = submit_and_settle(queue, run_of("md5", "tdnuca", scale=SCALE))
         assert job.state == "done"
         assert job.attempts == 2
         assert job.worker_deaths == 0  # clean error, not a dead worker
@@ -324,7 +357,7 @@ class TestCrashRecovery:
         queue = make_queue(
             tmp_path, timeout=0.2, retries=0, lease_timeout=120.0
         )
-        job = submit_and_settle(queue, RunSpec("md5", "tdnuca", scale=SCALE))
+        job = submit_and_settle(queue, run_of("md5", "tdnuca", scale=SCALE))
         assert job.state == "failed"
         assert job.error["type"] == "timeout"
         died = next(e for e in job.events.since(0)[0]
@@ -342,7 +375,7 @@ class TestPoisonQuarantine:
             tmp_path, workers=2, retries=5, poison_after=3,
             checkpoint_every=25,
         )
-        spec = RunSpec("md5", "tdnuca", scale=SCALE)
+        spec = run_of("md5", "tdnuca", scale=SCALE)
 
         async def go():
             await queue.start()
@@ -352,7 +385,7 @@ class TestPoisonQuarantine:
             # resubmission is rejected synchronously, before touching
             # queue or pool.
             with pytest.raises(ServiceError) as exc:
-                queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+                queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await queue.drain(grace=0.5)
             return job, exc.value
 
@@ -374,7 +407,8 @@ class TestPoisonQuarantine:
         assert bundle["last_death"]["signal"] == 9
         assert bundle["last_death"]["reason"] == "crashed"
         assert bundle["last_death"]["heartbeat_age_s"] >= 0
-        assert bundle["job_key"] == queue._poison_key(spec)
+        assert bundle["job_key"] == job.key
+        assert bundle["scenario"] == job.scenario.to_dict()
         assert bundle["events_tail"]
 
         assert rejection.type == "poisoned"
@@ -392,12 +426,12 @@ class TestPoisonQuarantine:
 
         async def go():
             await queue.start()
-            poison = queue.submit(RunSpec("md5", "tdnuca", scale=SCALE))
+            poison = queue.submit(run_of("md5", "tdnuca", scale=SCALE))
             await wait_settled(poison)
             degraded = queue.pool.concurrency
             # A healthy job completes despite the carnage and buys the
             # pool one step of concurrency back.
-            healthy = queue.submit(RunSpec("md5", "snuca", scale=SCALE))
+            healthy = queue.submit(run_of("md5", "snuca", scale=SCALE))
             await wait_settled(healthy)
             # note_ok only restores once the death window has passed.
             queue.pool._death_times.clear()

@@ -274,12 +274,17 @@ class TestBackendAgnosticFingerprints:
         assert len(keys) == 1
 
     def test_run_spec_round_trips_kernel(self):
-        from repro.service.queue import RunSpec, spec_from_dict
+        from repro.scenario import MachineSpec, Scenario
+        from repro.service.queue import scenario_from_body, service_form
 
-        spec = RunSpec("kmeans", "tdnuca", scale=1024, kernel="vector")
-        assert spec.config().kernel == "vector"
-        raw = spec.to_dict()
+        scenario = service_form(Scenario(
+            "t", workload="kmeans", policy="tdnuca",
+            machine=MachineSpec(scale=1024), kernel="vector",
+        ))
+        assert scenario.to_config().kernel == "vector"
+        raw = scenario.to_dict()
         assert raw["kernel"] == "vector"
-        back = spec_from_dict(raw)
+        back = scenario_from_body(raw, "run")
         assert back.kernel == "vector"
-        assert spec_from_dict(RunSpec("kmeans", "tdnuca").to_dict()).kernel == "auto"
+        plain = service_form(Scenario("t", workload="kmeans", policy="tdnuca"))
+        assert scenario_from_body(plain.to_dict(), "run").kernel == "auto"

@@ -311,6 +311,49 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count(" skipped ") == 2
 
+    def test_sweep_manifest_records_its_scenario(self, tmp_path, capsys):
+        # The manifest holds the one sweep scenario the flags built; a
+        # resume parses it back (geometry included: a dropped --mesh
+        # would fail the run dir's config check).
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--scale", "2048", "--workloads", "md5",
+                     "--policies", "snuca", "--mesh", "8x8", "--seed", "2",
+                     "--out", str(out)]) == 0
+        manifest_path = tmp_path / "s.json.d" / "manifest.json"
+        request = json.loads(manifest_path.read_text())["request"]
+        assert request["scenario"] == {
+            "scenario": 1, "name": "sweep",
+            "sweep": {"workloads": ["md5"], "policies": ["snuca"]},
+            "machine": {"scale": 2048, "mesh": "8x8"}, "seed": 2,
+        }
+        assert set(request) == {"scenario", "out", "jobs", "timeout",
+                                "retries", "checkpoint_every"}
+        capsys.readouterr()
+        assert main(["sweep", "--resume", str(tmp_path / "s.json.d")]) == 0
+        assert capsys.readouterr().err.count(" skipped ") == 1
+        sweep = json.loads(out.read_text())["sweep"]
+        assert (sweep["seed"], sweep["scale"]) == (2, 2048)
+
+    def test_sweep_resume_of_a_3x_run_dir_says_to_rerun(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--scale", "2048", "--workloads", "md5",
+                     "--policies", "snuca", "--out", str(out)]) == 0
+        manifest_path = tmp_path / "s.json.d" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        # what 3.x recorded: the flat request, no scenario
+        manifest["request"] = {
+            "scale": 2048, "workloads": ["md5"], "policies": ["snuca"],
+            "seed": 0, "faults": "", "strict": False, "out": str(out),
+            "jobs": 1, "timeout": None, "retries": 1, "checkpoint_every": 0,
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["sweep", "--resume", str(tmp_path / "s.json.d")]) == 2
+        printed = capsys.readouterr().out
+        assert "3.x" in printed and "re-run the sweep" in printed
+
     def test_sweep_timeout_is_a_failure_not_a_preemption(
         self, tmp_path, capsys, monkeypatch
     ):
