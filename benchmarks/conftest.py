@@ -28,8 +28,11 @@ ALL_POLICIES = ["snuca", "rnuca", "tdnuca", "tdnuca-bypass-only", "tdnuca-noisa"
 
 @pytest.fixture(scope="session")
 def suite():
-    """Results of the full sweep, shared by every figure target."""
-    return Session(scaled_config(BENCH_SCALE)).suite(policies=ALL_POLICIES)
+    """Results of the full sweep, shared by every figure target; its 40
+    cells run in two forked workers (byte-identical to a serial sweep)."""
+    return Session(scaled_config(BENCH_SCALE)).suite(
+        policies=ALL_POLICIES, jobs=2
+    )
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -105,7 +106,7 @@ def bench_cell(case, kernel: str, denom: int, repeats: int) -> dict:
     cfg = scaled_config(1.0 / denom)
     if case.fault_spec:
         cfg = replace(cfg, fault_spec=case.fault_spec)
-    session = Session(cfg, seed=case.seed, kernel=kernel)
+    session = Session(cfg, seed=case.seed)
     best = hot_best = None
     references = tasks = 0
     dispatch = None
@@ -113,9 +114,10 @@ def bench_cell(case, kernel: str, denom: int, repeats: int) -> dict:
         timer = _HotTimer()
         uninstall = timer.install()
         try:
-            start = time.perf_counter()
-            result = session.run(case.workload, case.policy)
-            elapsed = time.perf_counter() - start
+            with mock.patch.dict(os.environ, {KERNEL_ENV: kernel}):
+                start = time.perf_counter()
+                result = session.run(case.workload, case.policy)
+                elapsed = time.perf_counter() - start
         finally:
             uninstall()
         best = elapsed if best is None else min(best, elapsed)

@@ -8,6 +8,8 @@ regressions.
 
 With ``--json PATH`` a machine-readable summary (us/reference, total
 function calls) is also written atomically, for diffing across commits.
+The kernel profiled is the one ``REPRO_KERNEL`` selects (``auto`` when
+unset).
 
 Usage: python scripts/profile_simulator.py [workload] [policy] [1/scale]
                                            [--json PATH]
@@ -18,12 +20,15 @@ from __future__ import annotations
 import argparse
 import cProfile
 import json
+import os
 import pstats
 from pathlib import Path
+from unittest import mock
 
 from repro.api import Session
 from repro.config import scaled_config
 from repro.ioutils import atomic_write
+from repro.sim.kernels import KERNEL_ENV, resolve_kernel_name
 
 JSON_SCHEMA_VERSION = 1
 
@@ -33,21 +38,30 @@ def profile_run(
     policy: str,
     denom: int,
     trace: bool = False,
-    kernel: str = "auto",
+    kernel: str | None = None,
 ):
     """Run one experiment under cProfile; returns ``(result, stats)``.
 
-    The session is built outside the profiled region so only simulation
-    work is measured; ``trace=True`` profiles the observability-enabled
-    path (used by the perf smoke test to bound tracing overhead), and
-    ``kernel`` pins a simulation backend so per-kernel call counts can
-    be compared.
+    The session is built, and the modules a run imports lazily (numpy's
+    random generators, the kernels) are imported, outside the profiled
+    region, so only simulation work is measured: import work is not, and
+    its call count depends on the bytecode caches of the tree.
+    ``trace=True`` profiles the observability-enabled path (used by the
+    perf smoke test to bound tracing overhead), and ``kernel`` pins a
+    simulation backend through ``REPRO_KERNEL`` so per-kernel call counts
+    can be compared.
     """
-    session = Session(scaled_config(1.0 / denom), kernel=kernel)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = session.run(workload, policy, trace=trace)
-    profiler.disable()
+    import numpy.random  # noqa: F401
+    import repro.sim.kernels.reference  # noqa: F401
+    import repro.sim.kernels.vector  # noqa: F401
+    import repro.sim.kernels.verify  # noqa: F401
+
+    session = Session(scaled_config(1.0 / denom))
+    with mock.patch.dict(os.environ, {KERNEL_ENV: kernel} if kernel else {}):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        result = session.run(workload, policy, trace=trace)
+        profiler.disable()
     return result, pstats.Stats(profiler)
 
 
@@ -61,13 +75,10 @@ def main(argv: list[str] | None = None) -> int:
                     help="also write a machine-readable summary to PATH")
     ap.add_argument("--trace", action="store_true",
                     help="profile with the observability layer attached")
-    ap.add_argument("--kernel", default="auto",
-                    help="simulation kernel to profile (default auto)")
     args = ap.parse_args(argv)
 
     result, stats = profile_run(
-        args.workload, args.policy, args.denom,
-        trace=args.trace, kernel=args.kernel,
+        args.workload, args.policy, args.denom, trace=args.trace
     )
 
     accesses = result.machine.l1.accesses
@@ -86,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             "policy": args.policy,
             "scale_denominator": args.denom,
             "traced": args.trace,
-            "kernel": args.kernel,
+            "kernel": resolve_kernel_name(),
             "references": accesses,
             "total_seconds": round(total, 6),
             "us_per_reference": round(us_per_ref, 4),

@@ -23,15 +23,17 @@ Usage: ``PYTHONPATH=src python scripts/scenario_smoke.py``
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.api import run_scenario  # noqa: E402
+from repro.sim.kernels import KERNEL_ENV  # noqa: E402
 from repro.scenario import (  # noqa: E402
     ScenarioError,
     load_scenario,
@@ -92,7 +94,8 @@ def check_both_kernels() -> int:
     scenario = load_scenario(BOTH_KERNELS_SCENARIO)
     stats = {}
     for kernel in ("reference", "vector"):
-        result = run_scenario(dataclasses.replace(scenario, kernel=kernel))
+        with mock.patch.dict(os.environ, {KERNEL_ENV: kernel}):
+            result = run_scenario(scenario)
         stats[kernel] = json.dumps(
             result.stats_dict(), sort_keys=True, separators=(",", ":")
         )

@@ -18,12 +18,15 @@ Usage: PYTHONPATH=src python scripts/update_golden_stats.py [case_id ...]
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 from repro.experiments.golden import GOLDEN_CASES, PAPER_GOLDEN_CASES, run_case
 from repro.ioutils import atomic_write
+from repro.sim.kernels import KERNEL_ENV
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -42,7 +45,8 @@ def main(argv: list[str]) -> int:
         t0 = time.perf_counter()
         # The reference interpreter *defines* the snapshots; every other
         # kernel is held to them by the golden test suite.
-        snapshot = run_case(case, kernel="reference")
+        with mock.patch.dict(os.environ, {KERNEL_ENV: "reference"}):
+            snapshot = run_case(case)
         path = GOLDEN_DIR / f"{case.case_id}.json"
         with atomic_write(path) as fh:
             json.dump(snapshot, fh, indent=1, sort_keys=True)

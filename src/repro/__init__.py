@@ -20,8 +20,8 @@ accessors, so reporting code accepts either.
 
 Experiments are described declaratively by :class:`Scenario` — one
 versioned YAML/JSON document capturing machine geometry, workload mix,
-policy, faults, co-runners, kernel and seeds — and the curated library
-under ``scenarios/`` is loadable by name::
+policy, faults, co-runners and seeds — and the curated library under
+``scenarios/`` is loadable by name::
 
     from repro import load_scenario, run_scenario
 
@@ -32,7 +32,10 @@ under ``scenarios/`` is loadable by name::
 CLI flags, service submissions and scenario files all compile through
 :meth:`Scenario.to_config`, so the same logical run is
 fingerprint-identical whichever way it is expressed; a :class:`Session`
-runs exactly the config it holds.
+runs exactly the config it holds.  None of them selects the simulation
+kernel: every machine takes the one the ``REPRO_KERNEL`` environment
+variable names (:mod:`repro.sim.kernels`), since no kernel changes a
+result.
 
 Other entry points:
 
@@ -52,7 +55,7 @@ from repro.config import SystemConfig, paper_config, scaled_config
 from repro.deps import DepMode
 from repro.scenario import Scenario, ScenarioError, load_scenario, scenario_names
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Session",

@@ -33,7 +33,7 @@ from repro.experiments.runner import (
     build_runtime,
     default_config,
 )
-from repro.obs.events import DEFAULT_CAPACITY, EventTrace
+from repro.obs.events import EventTrace
 from repro.obs.observer import DEFAULT_SAMPLE_EVERY, Observer
 from repro.runtime.executor import Executor
 from repro.runtime.scheduler import Scheduler
@@ -179,16 +179,11 @@ class Session:
         *,
         scale: float | None = None,
         seed: int = 0,
-        kernel: str | None = None,
     ) -> None:
         if config is not None and scale is not None:
             raise ValueError("pass config or scale, not both")
         if config is None:
             config = scaled_config(scale) if scale is not None else default_config()
-        if kernel is not None:
-            # Execution backend only — byte-identical results are enforced
-            # by the golden gate, so this never changes what a run returns.
-            config = replace(config, kernel=kernel)
         config.validate()
         self.config = config
         self.seed = seed
@@ -223,12 +218,10 @@ class Session:
         seed: int | None = None,
         trace: bool | Observer = False,
         sample_every: int = DEFAULT_SAMPLE_EVERY,
-        trace_capacity: int = DEFAULT_CAPACITY,
         faults: str = "",
         strict: bool = False,
         rrt_lookup_cycles: int | None = None,
         scheduler: Scheduler | None = None,
-        census: bool = True,
         checkpoint=None,
         resume_from=None,
     ) -> RunResult:
@@ -237,7 +230,7 @@ class Session:
         ``trace=True`` attaches a fresh
         :class:`~repro.obs.observer.Observer` (ring-buffered events +
         interval timeline); passing an :class:`Observer` instance uses it
-        as-is (custom sink, sampling period, or no timeline).
+        as-is (custom sink, capacity, sampling period, or no timeline).
 
         ``checkpoint`` (a :class:`~repro.snapshot.Checkpointer`) enables
         task-boundary snapshots; ``resume_from`` continues a snapshotted
@@ -254,8 +247,7 @@ class Session:
             observer = (
                 trace
                 if isinstance(trace, Observer)
-                else Observer(sample_every=sample_every,
-                              capacity=trace_capacity)
+                else Observer(sample_every=sample_every)
             )
         experiment = _run_one(
             workload,
@@ -264,7 +256,6 @@ class Session:
             seed=self.seed if seed is None else seed,
             rrt_lookup_cycles=rrt_lookup_cycles,
             scheduler=scheduler,
-            census=census,
             observer=observer,
             checkpoint=checkpoint,
             resume_from=resume_from,
@@ -448,7 +439,6 @@ def _run_one(
     seed: int = 0,
     rrt_lookup_cycles: int | None = None,
     scheduler: Scheduler | None = None,
-    census: bool = True,
     observer: Observer | None = None,
     checkpoint=None,
     resume_from=None,
@@ -487,7 +477,7 @@ def _run_one(
     wl = get_workload(workload)
     program = wl.build(cfg, seed)
     machine = build_machine(
-        cfg, policy, rrt_lookup_cycles=rrt_lookup_cycles, seed=seed, census=census
+        cfg, policy, rrt_lookup_cycles=rrt_lookup_cycles, seed=seed
     )
     if observer is not None:
         observer.attach(machine)
@@ -560,9 +550,8 @@ def _run_one(
     )
     if resume_payload is not None:
         result.extra["resumed_from_task"] = resume_payload["meta"]["tasks_completed"]
-    if machine.census is not None:
-        result.rnuca_census = machine.census.rnuca_census()
-        result.unique_blocks = machine.census.unique_blocks
+    result.rnuca_census = machine.census.rnuca_census()
+    result.unique_blocks = machine.census.unique_blocks
     if isinstance(extension, TdNucaRuntime):
         result.runtime = extension.stats
         result.isa = machine.isa.stats if machine.isa is not None else None

@@ -440,21 +440,12 @@ def _geometry(value: str):
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.kernels import KERNEL_NAMES
-
     parser.add_argument(
         "--scale",
         type=int,
         default=64,
         metavar="N",
         help="capacities at 1/N of Table I (default 64)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        default="auto",
-        help="simulation backend (results are byte-identical across "
-        "kernels; REPRO_KERNEL overrides; default %(default)s)",
     )
     parser.add_argument(
         "--mesh", type=_geometry, default=None, metavar="WxH",
@@ -479,15 +470,57 @@ def _machine_spec(args) -> MachineSpec:
     )
 
 
-def _cfg(args):
-    # Flags compile through the same Scenario path as YAML files and
-    # service specs — one canonical run description, identical sha256.
-    scenario = Scenario(
-        name="cli",
+def _flag_scenario(args, name: str = "cli", **fields) -> Scenario:
+    """The scenario the machine, ``--faults``, ``--strict`` and ``--seed``
+    flags describe (a command without one of them takes its default).
+    Flags compile through the same Scenario path as YAML files and
+    service bodies — one canonical run description, identical sha256."""
+    return Scenario(
+        name=name,
         machine=_machine_spec(args),
-        kernel=getattr(args, "kernel", "auto"),
+        faults=getattr(args, "faults", ""),
+        strict=getattr(args, "strict", False),
+        seed=getattr(args, "seed", 0),
+        **fields,
     )
-    return scenario.to_config()
+
+
+def _named_scenario(args, keeps: tuple[str, ...] = ()) -> Scenario | None:
+    """The scenario the SCENARIO positional of ``repro run``/``submit``
+    names, or ``None`` after printing why not.
+
+    A scenario is self-contained: machine geometry, faults, seed and
+    trace/checkpoint options all come from the document.  A policy, or
+    any flag other than ``keeps`` set away from its default, would
+    silently lose to it, so it is rejected, not ignored.
+    """
+    command = args.command
+    if args.policy is not None:
+        print(
+            "error: a scenario carries its own policy; "
+            f"'repro {command} SCENARIO' takes no policy argument",
+            file=sys.stderr,
+        )
+        return None
+    defaults = vars(build_parser().parse_args([command, args.workload]))
+    overridden = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if dest not in keeps and value != defaults[dest]
+    ]
+    if overridden:
+        print(
+            f"error: {', '.join(overridden)} cannot override a scenario; "
+            "edit the scenario document instead "
+            f"(see 'repro scenario show {args.workload}')",
+            file=sys.stderr,
+        )
+        return None
+    try:
+        return load_scenario(args.workload)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_list(args) -> int:
@@ -506,7 +539,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_config(args) -> int:
-    rows = figures.table1_rows(_cfg(args))
+    rows = figures.table1_rows(_flag_scenario(args).to_config())
     print(format_table(["parameter", "value"], rows, "machine configuration"))
     return 0
 
@@ -554,56 +587,13 @@ def _run_result_rows(result) -> list[list[str]]:
 
 def _cmd_run_scenario(args) -> int:
     """``repro run <scenario>``: execute a scenario file or library name."""
-    import dataclasses
     import json
 
     from repro.stats.report import sweep_summary_rows
 
-    if args.policy is not None:
-        print(
-            "error: a scenario carries its own policy; "
-            "'repro run SCENARIO' takes no policy argument",
-            file=sys.stderr,
-        )
+    scenario = _named_scenario(args, keeps=("json",))
+    if scenario is None:
         return 2
-    # A scenario is self-contained: machine geometry, faults, seed and
-    # trace/checkpoint options all come from the document.  Flags that
-    # would silently lose to the scenario are rejected, not ignored —
-    # --kernel (an execution detail, never part of the fingerprint) and
-    # --json are the only overrides.
-    overridden = [
-        flag
-        for flag, active in (
-            ("--scale", args.scale != 64),
-            ("--mesh", getattr(args, "mesh", None) is not None),
-            ("--cluster", getattr(args, "cluster", None) is not None),
-            ("--seed", args.seed != 0),
-            ("--faults", bool(args.faults)),
-            ("--strict", args.strict),
-            ("--trace", args.trace is not None),
-            ("--checkpoint-every", bool(args.checkpoint_every)),
-            ("--deadline", args.deadline is not None),
-            ("--checkpoint-to", args.checkpoint_to is not None),
-            ("--resume-from", args.resume_from is not None),
-        )
-        if active
-    ]
-    if overridden:
-        print(
-            f"error: {', '.join(overridden)} cannot override a scenario; "
-            "edit the scenario document instead "
-            f"(see 'repro scenario show {args.workload}')",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        scenario = load_scenario(args.workload)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    kernel = getattr(args, "kernel", "auto")
-    if kernel != "auto":
-        scenario = dataclasses.replace(scenario, kernel=kernel)
     t0 = time.time()
     outcome = run_scenario(scenario)
     elapsed = time.time() - t0
@@ -686,15 +676,13 @@ def cmd_run(args) -> int:
         except ValueError:  # pragma: no cover - non-main-thread embedding
             pass
 
-    session = Session(_cfg(args), seed=args.seed)
+    session = Session.from_scenario(_flag_scenario(args))
     t0 = time.time()
     try:
         result = session.run(
             args.workload,
             args.policy,
             trace=bool(args.trace),
-            faults=args.faults,
-            strict=args.strict,
             checkpoint=ck,
             resume_from=args.resume_from,
         )
@@ -734,15 +722,10 @@ def cmd_run(args) -> int:
 def cmd_trace(args) -> int:
     from repro.obs.events import EventTrace
 
-    session = Session(_cfg(args), seed=args.seed)
+    session = Session.from_scenario(_flag_scenario(args))
     t0 = time.time()
     result = session.run(
-        args.workload,
-        args.policy,
-        trace=True,
-        sample_every=args.sample_every,
-        faults=args.faults,
-        strict=args.strict,
+        args.workload, args.policy, trace=True, sample_every=args.sample_every
     )
     elapsed = time.time() - t0
     result.write_chrome_trace(args.out)
@@ -783,7 +766,7 @@ def cmd_figures(args) -> int:
     if "fig15" in wanted:
         policies.append("tdnuca-bypass-only")
     print(f"running the suite at scale 1/{args.scale} ...", file=sys.stderr)
-    results = Session(_cfg(args), seed=args.seed).suite(
+    results = Session.from_scenario(_flag_scenario(args)).suite(
         workloads=args.workloads, policies=policies,
     )
     for key in wanted:
@@ -816,8 +799,6 @@ def _sweep_execution(args, recorded: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    import dataclasses
-
     from repro.experiments import harness
     from repro.experiments.serialize import sweep_to_json
     from repro.ioutils import atomic_write
@@ -830,7 +811,7 @@ def cmd_sweep(args) -> int:
         if "scenario" not in req:
             print(
                 f"error: {run_dir} was written by repro 3.x (its manifest "
-                "records no scenario) and cannot be resumed by 4.0; re-run "
+                "records no scenario) and cannot be resumed by 5.0; re-run "
                 "the sweep"
             )
             return 2
@@ -839,13 +820,9 @@ def cmd_sweep(args) -> int:
                 req["scenario"], source=f"{run_dir}/manifest.json"
             )
         except ScenarioError as exc:
-            print(f"error: {exc}")
+            # e.g. a 4.0 manifest whose scenario selects a kernel
+            print(f"error: {exc}\n{run_dir} cannot be resumed; re-run the sweep")
             return 2
-        # The kernel is an execution strategy, not part of the sweep's
-        # identity — the current invocation's choice applies on resume.
-        scenario = dataclasses.replace(
-            scenario, kernel=getattr(args, "kernel", "auto")
-        )
         out = args.out or req.get("out")
         if not out:
             print("error: the manifest records no output path; pass --out")
@@ -856,15 +833,11 @@ def cmd_sweep(args) -> int:
         if not args.out:
             print("error: --out is required unless resuming with --resume DIR")
             return 2
-        scenario = Scenario(
-            name="sweep",
+        scenario = _flag_scenario(
+            args,
+            "sweep",
             workloads=tuple(args.workloads or workload_names()),
             policies=tuple(args.policies or ["snuca", "rnuca", "tdnuca"]),
-            machine=_machine_spec(args),
-            faults=args.faults,
-            strict=args.strict,
-            kernel=getattr(args, "kernel", "auto"),
-            seed=args.seed,
         )
         out = args.out
         run_dir = args.run_dir or out + ".d"
@@ -1108,39 +1081,10 @@ def cmd_submit(args) -> int:
     from repro.snapshot import EXIT_PREEMPTED
 
     if args.workload not in workload_names(include_extra=True):
-        import dataclasses
-
-        if args.policy is not None:
-            print(
-                "error: a scenario carries its own policy; "
-                "'repro submit SCENARIO' takes no policy argument",
-                file=sys.stderr,
-            )
-            return 2
-        overridden = [
-            flag
-            for flag, active in (
-                ("--scale", args.scale != 64),
-                ("--mesh", getattr(args, "mesh", None) is not None),
-                ("--cluster", getattr(args, "cluster", None) is not None),
-                ("--seed", args.seed != 0),
-                ("--faults", bool(args.faults)),
-                ("--strict", args.strict),
-            )
-            if active
-        ]
-        if overridden:
-            print(
-                f"error: {', '.join(overridden)} cannot override a "
-                "scenario; edit the scenario document instead "
-                f"(see 'repro scenario show {args.workload}')",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            scenario = load_scenario(args.workload)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        scenario = _named_scenario(args, keeps=(
+            "host", "port", "json", "follow", "no_wait", "wait_timeout",
+        ))
+        if scenario is None:
             return 2
         if scenario.kind == "multiprog":
             print(
@@ -1150,9 +1094,6 @@ def cmd_submit(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        kernel = getattr(args, "kernel", "auto")
-        if kernel != "auto":
-            scenario = dataclasses.replace(scenario, kernel=kernel)
         label = f"scenario {scenario.name}"
     elif args.policy is None:
         print(
@@ -1162,17 +1103,12 @@ def cmd_submit(args) -> int:
         )
         return 2
     else:
-        # Flags compile to the same Scenario a file would hold, so the
-        # server sees the whole machine (geometry included).
-        scenario = Scenario(
-            name=f"{args.workload}-{args.policy}",
+        # The server sees the whole machine (geometry included).
+        scenario = _flag_scenario(
+            args,
+            f"{args.workload}-{args.policy}",
             workload=args.workload,
             policy=args.policy,
-            machine=_machine_spec(args),
-            faults=args.faults,
-            strict=args.strict,
-            kernel=getattr(args, "kernel", "auto"),
-            seed=args.seed,
         )
         label = f"{args.workload}/{args.policy}"
 
@@ -1277,7 +1213,7 @@ def cmd_tdg(args) -> int:
     from repro.ioutils import atomic_write
     from repro.runtime.tdgviz import program_to_dot
 
-    program = get_workload(args.workload).build(_cfg(args))
+    program = get_workload(args.workload).build(_flag_scenario(args).to_config())
     dot = program_to_dot(program, max_tasks=args.max_tasks)
     with atomic_write(args.out) as fh:
         fh.write(dot)

@@ -139,13 +139,6 @@ class SystemConfig:
     #: every task; 1 = full sweep after every task).
     strict_check_interval: int = 16
 
-    # --- execution backend ---
-    #: simulation kernel selector (see :mod:`repro.sim.kernels`):
-    #: ``auto`` | ``reference`` | ``vector`` | ``verify``.  Never changes
-    #: results (byte-identical MachineStats is enforced), so it is excluded
-    #: from config fingerprints and result-cache keys.
-    kernel: str = "auto"
-
     # ----- derived quantities -----
 
     @property
@@ -244,13 +237,6 @@ class SystemConfig:
             raise ValueError("physical_address_bits must be positive")
         if self.strict_check_interval <= 0:
             raise ValueError("strict_check_interval must be positive")
-        from repro.sim.kernels import KERNEL_NAMES
-
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown simulation kernel {self.kernel!r}; expected one of "
-                f"{KERNEL_NAMES}"
-            )
         if self.fault_spec:
             from repro.faults.schedule import parse_fault_spec
 

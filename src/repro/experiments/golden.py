@@ -194,18 +194,13 @@ def canonical_stats(result) -> dict[str, Any]:
     return out
 
 
-def run_case(case: GoldenCase, kernel: str = "auto") -> dict[str, Any]:
+def run_case(case: GoldenCase) -> dict[str, Any]:
     """Execute one golden case and return its canonical snapshot.
 
-    ``kernel`` pins a simulation backend; the snapshots are the
-    cross-kernel equivalence gate, so every backend must reproduce them
-    byte-identically (``REPRO_KERNEL`` still takes precedence, as
-    everywhere else).
+    The snapshots are the cross-kernel equivalence gate: under every
+    ``REPRO_KERNEL`` the case must reproduce them byte-identically.
     """
     from repro.api import _run_one
 
-    cfg = case.config()
-    if kernel != "auto":
-        cfg = replace(cfg, kernel=kernel)
-    result = _run_one(case.workload, case.policy, cfg, seed=case.seed)
+    result = _run_one(case.workload, case.policy, case.config(), seed=case.seed)
     return canonical_stats(result)

@@ -267,9 +267,9 @@ def config_fingerprint(cfg: Any) -> str:
     resume against a differently-configured run directory fails loudly.
 
     For a config dataclass this is :func:`repro.snapshot.config_sha256` —
-    the fingerprint snapshots and the service cache use, which leaves out
-    the kernel, so a sweep resumes under any ``--kernel``.  Opaque configs
-    (test stubs pass strings or paths) hash their ``repr``.
+    the fingerprint snapshots and the service cache use; no config holds
+    a kernel, so a sweep resumes under any ``REPRO_KERNEL``.  Opaque
+    configs (test stubs pass strings or paths) hash their ``repr``.
     """
     if is_dataclass(cfg) and not isinstance(cfg, type):
         return config_sha256(cfg)

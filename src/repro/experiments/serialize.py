@@ -24,9 +24,9 @@ version in :data:`SUPPORTED_SCHEMA_VERSIONS` and never-preempted untraced
 archives differ from schema 2 only in the version number.
 
 ``sweep.config_sha256`` is :func:`repro.snapshot.config_sha256` of the
-sweep's config — the fingerprint snapshots and the service cache use,
-which leaves out the kernel.  Before 3.0 it was a separate hash that
-included the kernel, so older archives carry a different value.
+sweep's config — the fingerprint snapshots and the service cache use.
+Before 3.0 it was a separate hash that included the simulation kernel,
+so older archives carry a different value.
 
 Only ``sweep.wall_time_s`` varies between otherwise-identical campaigns;
 everything under ``runs`` is deterministic for a given config and seed, so

@@ -2,11 +2,11 @@
 
 A :class:`Scenario` captures everything that defines a simulation —
 machine geometry, workload mix, NUCA policy, fault schedule,
-multiprogrammed co-runners, kernel choice, trace/checkpoint options and
-seeds — as one versioned, schema-validated value.  ``Session.run/sweep``,
-the CLI (``repro run scenario.yaml``, ``repro scenario ...``) and the
-service specs all compile down to it, so the same logical run expressed
-any of those ways produces an identical ``config_sha256`` and
+multiprogrammed co-runners, trace/checkpoint options and seeds — as one
+versioned, schema-validated value.  ``Session.run/sweep``, the CLI
+(``repro run scenario.yaml``, ``repro scenario ...``) and the service
+specs all compile down to it, so the same logical run expressed any of
+those ways produces an identical ``config_sha256`` and
 byte-identical statistics.
 
 Scenarios serialize to YAML or JSON; a curated library ships under

@@ -9,7 +9,7 @@ it, which is what makes their fingerprints agree.
 
 Compatibility invariant: for the default machine (4x4 mesh, 2x2 clusters,
 no RRT override) ``to_config`` performs exactly the replaces the legacy
-``scaled_config + replace(fault_spec, strict, kernel)`` paths performed,
+``scaled_config + replace(fault_spec, strict)`` paths performed,
 in the same order, so ``config_sha256`` of every pre-scenario run is
 unchanged.
 """
@@ -205,7 +205,6 @@ class Scenario:
     machine: MachineSpec = field(default_factory=MachineSpec)
     faults: str = ""
     strict: bool = False
-    kernel: str = "auto"
     seed: int = 0
     trace: TraceSpec = field(default_factory=TraceSpec)
     checkpoint: CheckpointSpec = field(default_factory=CheckpointSpec)
@@ -290,7 +289,7 @@ class Scenario:
             raise err("sample_every must be positive", "trace.sample_every")
         if self.checkpoint.every < 0:
             raise err("checkpoint.every must be non-negative", "checkpoint.every")
-        # Compile the config now: geometry, fault-spec and kernel errors
+        # Compile the config now: geometry and fault-spec errors
         # surface at validation time with the scenario's source attached,
         # not deep inside a worker.
         try:
@@ -365,12 +364,9 @@ class Scenario:
             if m.rrt_entries is not None:
                 changes["rrt_entries"] = m.rrt_entries
             cfg = replace(cfg, **changes)
-        if self.faults or self.strict or self.kernel != "auto":
+        if self.faults or self.strict:
             cfg = replace(
-                cfg,
-                fault_spec=self.faults,
-                strict_invariants=self.strict,
-                kernel=self.kernel,
+                cfg, fault_spec=self.faults, strict_invariants=self.strict
             )
         try:
             cfg.validate()
@@ -406,7 +402,6 @@ class Scenario:
             machine=machine,
             faults=cfg.fault_spec,
             strict=cfg.strict_invariants,
-            kernel=cfg.kernel,
             **fields,
         )
         try:
@@ -441,8 +436,6 @@ class Scenario:
             out["faults"] = self.faults
         if self.strict:
             out["strict"] = True
-        if self.kernel != "auto":
-            out["kernel"] = self.kernel
         if self.seed:
             out["seed"] = self.seed
         if self.trace != TraceSpec():
@@ -463,7 +456,6 @@ _TOP_KEYS = {
     "machine",
     "faults",
     "strict",
-    "kernel",
     "seed",
     "trace",
     "checkpoint",
@@ -560,6 +552,13 @@ def parse_scenario(raw: Any, *, source: str = "") -> Scenario:
 
 def _parse_scenario(raw: Any, source: str) -> Scenario:
     raw = _require_mapping(raw, "", source)
+    if "kernel" in raw:
+        raise ScenarioError(
+            "a scenario no longer selects the simulation kernel (removed in "
+            "5.0); set the REPRO_KERNEL environment variable instead",
+            field="kernel",
+            source=source,
+        )
     _reject_unknown(raw, _TOP_KEYS, "", source)
     version = raw.get("scenario", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -631,7 +630,6 @@ def _parse_scenario(raw: Any, source: str) -> Scenario:
         machine=_parse_machine(raw.get("machine", {}), source),
         faults=str(raw.get("faults", "")),
         strict=bool(raw.get("strict", False)),
-        kernel=str(raw.get("kernel", "auto")),
         seed=raw.get("seed", 0),
         trace=_parse_trace(raw.get("trace", {"enabled": False}), source)
         if "trace" in raw

@@ -141,9 +141,8 @@ def run_multiprog(scenario: Scenario, cfg: SystemConfig | None = None, *,
         machine=machine.collect_stats(),
         execution=exec_stats,
     )
-    if machine.census is not None:
-        result.rnuca_census = machine.census.rnuca_census()
-        result.unique_blocks = machine.census.unique_blocks
+    result.rnuca_census = machine.census.rnuca_census()
+    result.unique_blocks = machine.census.unique_blocks
     if isinstance(extension, MultiProcessRuntime):
         result.isa = machine.isa.stats if machine.isa is not None else None
         result.extra["context_switches"] = extension.context_switches

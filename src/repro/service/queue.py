@@ -307,6 +307,9 @@ class Job:
     #: :class:`~repro.service.workers.AttemptHandle` (or anything with a
     #: signal-safe ``request_preempt()``), set by the supervision thread.
     current_ck: Any = None
+    #: request keys whose shared result dict this record holds
+    #: (:meth:`JobQueue._share`), released when the record retires.
+    shared_keys: set[str] = field(default_factory=set)
     #: the job's identity across hosts and restarts (poison registry,
     #: fleet claims and queue shards): :func:`~repro.service.fleet.job_key`
     #: of the scenario's ``to_dict()``, computed once at admission.
@@ -461,9 +464,11 @@ class JobQueue:
         #: the oldest leaves :attr:`jobs`.
         self._finished: collections.deque[str] = collections.deque()
         #: request key -> the result dict cache-hit jobs share, so that
-        #: hits of one key do not each hold a decoded copy; at most
-        #: :data:`KEEP_FINISHED` keys, the oldest dropped first.
+        #: hits of one key do not each hold a decoded copy, and the number
+        #: of records in :attr:`jobs` holding it: a key leaves with the
+        #: last of them.
         self._hit_results: dict[str, dict[str, Any]] = {}
+        self._hit_holders: dict[str, int] = {}
         #: poison-quarantined job keys -> diagnostic bundle path.
         self.poisoned: dict[str, str] = {}
         self.submitted = 0
@@ -691,7 +696,7 @@ class JobQueue:
             cached = self.cache.get(key)
             if cached is None:  # corrupt entry surfaced mid-check: recompute
                 return False
-            job.partial[cell] = self._share(key, cached)
+            job.partial[cell] = self._share(job, key, cached)
             job.cache_hits += 1
             job.cells_done += 1
             job.events.append(
@@ -700,18 +705,33 @@ class JobQueue:
         self._finish_ok(job)
         return True
 
-    def _share(self, key: str, result: dict[str, Any]) -> dict[str, Any]:
+    def _share(
+        self, job: Job, key: str, result: dict[str, Any]
+    ) -> dict[str, Any]:
         """The result dict the jobs of request ``key`` share: the one
         already shared when it equals ``result``, else ``result``, kept
-        for the next job (at most :data:`KEEP_FINISHED` keys, the oldest
-        dropped first), so jobs of one key do not each hold a copy."""
+        for the next job while ``job``'s record or another holds it, so
+        jobs of one key do not each hold a copy."""
         shared = self._hit_results.get(key)
-        if shared == result:
-            return shared
-        self._hit_results[key] = result
-        if len(self._hit_results) > KEEP_FINISHED:
-            del self._hit_results[next(iter(self._hit_results))]
-        return result
+        if shared != result:
+            self._hit_results[key] = shared = result
+        if key not in job.shared_keys:
+            job.shared_keys.add(key)
+            self._hit_holders[key] = self._hit_holders.get(key, 0) + 1
+        return shared
+
+    def _retire(self, job_id: str) -> None:
+        """Drop a finished record, and each shared result it was the last
+        record to hold."""
+        job = self.jobs.pop(job_id, None)
+        if job is None:
+            return
+        for key in job.shared_keys:
+            holders = self._hit_holders.pop(key) - 1
+            if holders:
+                self._hit_holders[key] = holders
+            else:
+                del self._hit_results[key]
 
     # ------------------------------------------------------------------
     # execution
@@ -928,7 +948,7 @@ class JobQueue:
                 # Later cache hits of these cells share this job's result
                 # dicts instead of each decoding its own copy.
                 for cell, key in cell_keys(job.scenario).items():
-                    job.partial[cell] = self._share(key, job.partial[cell])
+                    job.partial[cell] = self._share(job, key, job.partial[cell])
             self._finish_ok(job)
             return
 
@@ -1093,7 +1113,7 @@ class JobQueue:
         self._live.discard(job.id)
         self._finished.append(job.id)
         if len(self._finished) > KEEP_FINISHED:
-            self.jobs.pop(self._finished.popleft(), None)
+            self._retire(self._finished.popleft())
 
     def _preempt(self, job: Job, **detail: Any) -> None:
         """Settle ``job`` as preempted by the drain; ``detail`` joins its

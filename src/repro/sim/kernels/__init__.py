@@ -25,9 +25,14 @@ implementations exist:
     :class:`KernelMismatchError` on the first divergence (chaos-testable
     through the ``kernel.dispatch.mismatch`` failpoint).
 
-Selection precedence: ``REPRO_KERNEL`` env var > ``SystemConfig.kernel``;
-``auto`` resolves to ``vector``.  The golden snapshot suite is the
-equivalence gate — see DESIGN.md §13.
+Selection happens here and nowhere else.  Every machine calls
+:func:`make_kernel` once, when it is built, and gets the kernel the
+``REPRO_KERNEL`` environment variable names, or ``auto`` (the fused
+``vector`` engine) when it is unset.  No run description (config,
+scenario, session, CLI flag or service body) carries a kernel, since no
+kernel changes a result: the golden snapshot suite is the equivalence
+gate (DESIGN.md §13).  A forked attempt gets its launcher's
+``REPRO_KERNEL`` through :func:`repro.template.launch`.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ __all__ = [
     "resolve_kernel_name",
 ]
 
-#: accepted values for ``SystemConfig.kernel`` / ``--kernel`` / ``REPRO_KERNEL``.
+#: accepted values of ``REPRO_KERNEL``.
 KERNEL_NAMES = ("auto", "reference", "vector", "verify")
 
-#: env var overriding the configured kernel (highest precedence).
+#: the environment variable that selects the kernel of every machine.
 KERNEL_ENV = "REPRO_KERNEL"
 
 
@@ -96,7 +101,7 @@ class SimKernel:
 
 
 def resolve_kernel_name(configured: str = "auto") -> str:
-    """Apply the ``REPRO_KERNEL`` override and validate the name."""
+    """``REPRO_KERNEL`` when set, else ``configured``; validated."""
     name = os.environ.get(KERNEL_ENV) or configured or "auto"
     if name not in KERNEL_NAMES:
         raise ValueError(
@@ -106,8 +111,8 @@ def resolve_kernel_name(configured: str = "auto") -> str:
 
 
 def make_kernel(name: str = "auto") -> SimKernel:
-    """Build the kernel for a resolved or raw selector name (``auto``
-    builds ``vector``)."""
+    """Build the kernel :func:`resolve_kernel_name` picks for ``name``
+    (``auto`` builds ``vector``); the machine calls it with no argument."""
     name = resolve_kernel_name(name)
     if name == "reference":
         from repro.sim.kernels.reference import ReferenceKernel

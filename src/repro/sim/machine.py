@@ -112,7 +112,6 @@ class Machine:
         *,
         fragmentation: float = 0.03,
         seed: int = 0,
-        census: bool = True,
         isa: TdNucaISA | None = None,
         rrts: list[RRT] | None = None,
     ) -> None:
@@ -141,11 +140,10 @@ class Machine:
         self.energy = EnergyTally()
         self.latency = LatencyModel(cfg.latency)
         self.policy = policy
-        # Simulation kernel: the strategy executing each task's trace.
-        # ``REPRO_KERNEL`` overrides the configured selector; ``auto``
-        # resolves to the vector backend's fused engine.
-        self.kernel = make_kernel(getattr(cfg, "kernel", "auto"))
-        self.census = BlockCensus(cfg.num_cores) if census else None
+        # Simulation kernel: the strategy executing each task's trace,
+        # the one ``REPRO_KERNEL`` names (``auto``: the fused engine).
+        self.kernel = make_kernel()
+        self.census = BlockCensus(cfg.num_cores)
         self.isa = isa
         self.rrts = rrts
         self._dnuca = policy if isinstance(policy, DNuca) else None
@@ -272,10 +270,9 @@ class Machine:
         # into the census and translated, they are saturated there and
         # their physical sweep is fixed, so later tasks skip both.
         scratch_sweep = self._scratch_sweeps[core]
-        if self.census is not None:
-            self.census.record(
-                core, segments if scratch_sweep is None else trace.segments
-            )
+        self.census.record(
+            core, segments if scratch_sweep is None else trace.segments
+        )
         if scratch_sweep is None:
             sweeps = self.pagetable.translate_blocks(run_spans(runs))
             if scratch is not None:
@@ -679,9 +676,8 @@ class Machine:
         self._reset_pending()  # unflushed warmup deltas die with the window
         self.energy = EnergyTally()
         self.policy.stats = PolicyStats()
-        if self.census is not None:
-            self.census = BlockCensus(self.cfg.num_cores)
-            self._forget_scratch()
+        self.census = BlockCensus(self.cfg.num_cores)
+        self._forget_scratch()
         if self.rrts is not None:
             for rrt in self.rrts:
                 rrt.stats = RRTStats()
@@ -772,7 +768,7 @@ class Machine:
             "traffic": self.traffic.state_dict(),
             "energy": asdict(self.energy),
             "policy": self.policy.state_dict(),
-            "census": self.census.state_dict() if self.census is not None else None,
+            "census": self.census.state_dict(),
             "rrts": [r.state_dict() for r in rrts] if rrts is not None else None,
             "isa": self.isa.state_dict() if self.isa is not None else None,
             "mesh": self.mesh.state_dict(),
@@ -827,10 +823,7 @@ class Machine:
         self._reset_pending()
         self.energy = EnergyTally(**state["energy"])
         self.policy.load_state_dict(state["policy"])
-        self._require_matching("census", self.census is not None,
-                               state["census"] is not None)
-        if self.census is not None:
-            self.census.load_state_dict(state["census"])
+        self.census.load_state_dict(state["census"])
         rrts = self.isa.rrts if self.isa is not None else self.rrts
         self._require_matching("rrts", rrts is not None,
                                state["rrts"] is not None)
@@ -879,7 +872,6 @@ def build_machine(
     rrt_lookup_cycles: int | None = None,
     fragmentation: float = 0.03,
     seed: int = 0,
-    census: bool = True,
 ) -> Machine:
     """Construct a machine running one of :data:`POLICIES`.
 
@@ -894,20 +886,17 @@ def build_machine(
     mesh = Mesh(cfg.mesh_width, cfg.mesh_height, cfg.cluster_width, cfg.cluster_height)
     if policy == "snuca":
         machine = Machine(
-            cfg, SNuca(cfg.num_banks), fragmentation=fragmentation, seed=seed,
-            census=census,
+            cfg, SNuca(cfg.num_banks), fragmentation=fragmentation, seed=seed
         )
         return _finalize_machine(machine, cfg, seed)
     if policy == "rnuca":
         machine = Machine(
-            cfg, RNuca(mesh, amap), fragmentation=fragmentation, seed=seed,
-            census=census,
+            cfg, RNuca(mesh, amap), fragmentation=fragmentation, seed=seed
         )
         return _finalize_machine(machine, cfg, seed)
     if policy == "dnuca":
         machine = Machine(
-            cfg, DNuca(mesh), fragmentation=fragmentation, seed=seed,
-            census=census,
+            cfg, DNuca(mesh), fragmentation=fragmentation, seed=seed
         )
         return _finalize_machine(machine, cfg, seed)
     if policy == "tdnuca-noisa":
@@ -917,8 +906,7 @@ def build_machine(
         # RRT/ISA objects exist only so the extension has something to
         # sample; they stay empty.
         machine = Machine(
-            cfg, SNuca(cfg.num_banks), fragmentation=fragmentation, seed=seed,
-            census=census,
+            cfg, SNuca(cfg.num_banks), fragmentation=fragmentation, seed=seed
         )
         rrts = [RRT(c, cfg.rrt_entries) for c in range(cfg.num_cores)]
         machine.isa = TdNucaISA(machine.amap, machine.tlbs, rrts, cfg.latency)
@@ -931,12 +919,7 @@ def build_machine(
     )
     td_policy = TdNucaPolicy(mesh, amap, rrts, lookup)
     machine = Machine(
-        cfg,
-        td_policy,
-        fragmentation=fragmentation,
-        seed=seed,
-        census=census,
-        rrts=rrts,
+        cfg, td_policy, fragmentation=fragmentation, seed=seed, rrts=rrts
     )
     isa = TdNucaISA(machine.amap, machine.tlbs, rrts, cfg.latency)
     machine.isa = isa

@@ -69,10 +69,6 @@ def config_sha256(cfg) -> str:
     be restored into a machine with different geometry.
     """
     payload = dataclasses.asdict(cfg)
-    # The simulation kernel is an execution strategy, not machine geometry:
-    # every backend is byte-identical (golden gate), so snapshots resume and
-    # cached results match across kernels.
-    payload.pop("kernel", None)
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

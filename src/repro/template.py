@@ -58,6 +58,7 @@ from multiprocessing import forkserver
 from typing import Any, Callable
 
 from repro import failpoints
+from repro.sim.kernels import KERNEL_ENV
 from repro.snapshot import (
     EXIT_PREEMPTED,
     Checkpointer,
@@ -397,6 +398,7 @@ def launch(
     payload = {
         "parent_pid": os.getpid(),
         "failpoints": failpoints.active_spec(),
+        "kernel": os.environ.get(KERNEL_ENV),
         **payload,
     }
     proc = ctx.Process(
@@ -435,26 +437,30 @@ def _drop_template_hold() -> None:
     fs._forkserver_alive_fd = None
 
 
-def attempt_prologue(
-    parent_pid: int, failpoint_spec: tuple[str, int] | None
-) -> None:
+def attempt_prologue(payload: dict[str, Any]) -> None:
     """What a forked attempt runs before anything else.
 
     PDEATHSIG is armed while this child still holds the template open, so
     the template cannot exit before it is armed.  A child whose launching
-    process ``parent_pid`` is already gone exits 98: nobody is listening.
-    (``getppid()`` would name the template.)  Last, the failpoint
-    registry is set to ``failpoint_spec``, what the launching process read
-    from :func:`repro.failpoints.active_spec` at launch: the template's
-    environment is that of its own start, so a spec set or cleared since
-    then reaches the attempt only this way.
+    process (``parent_pid``) is already gone exits 98: nobody is
+    listening.  (``getppid()`` would name the template.)  Last, the
+    failpoint registry and ``REPRO_KERNEL`` are set to what the launching
+    process had at launch (``failpoints``, from
+    :func:`repro.failpoints.active_spec`, and ``kernel``, unset when
+    ``None``): the template's environment is that of its own start, so a
+    spec or kernel set or cleared since then reaches the attempt only
+    this way.
     """
     _set_pdeathsig()
     _drop_template_hold()
-    if not alive(parent_pid):
+    if not alive(payload["parent_pid"]):
         os._exit(98)
-    spec, seed = failpoint_spec or ("", 0)
+    spec, seed = payload["failpoints"] or ("", 0)
     failpoints.configure(spec, seed)
+    if payload["kernel"] is None:
+        os.environ.pop(KERNEL_ENV, None)
+    else:
+        os.environ[KERNEL_ENV] = payload["kernel"]
 
 
 class _BoundaryCheckpointer(Checkpointer):
@@ -564,7 +570,7 @@ def _attempt_main(
     keeps its default action.  SIGINT is ignored: a terminal Ctrl-C hits
     the whole process group, and the parent coordinates it.
     """
-    attempt_prologue(payload["parent_pid"], payload["failpoints"])
+    attempt_prologue(payload)
     attempt = Attempt(payload, conn, hb)
     if payload["checkpoints"]:
         signal.signal(signal.SIGTERM, lambda signum, frame: attempt.request_preempt())

@@ -36,6 +36,7 @@ from repro.experiments.harness import (
 )
 from repro.failpoints import FAILPOINTS_ENV
 from repro.ioutils import atomic_write
+from repro.sim.kernels import KERNEL_ENV, make_kernel
 from repro.template import retry_delay
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -92,6 +93,11 @@ def big_runner(job, cfg, **_):
 def pid_runner(job, cfg, **_):
     """ok_runner that also reports the worker's pid and its parent's."""
     return {**ok_runner(job, cfg), "pid": os.getpid(), "ppid": os.getppid()}
+
+
+def kernel_runner(job, cfg, **_):
+    """ok_runner that also reports the kernel a machine built here runs."""
+    return {**ok_runner(job, cfg), "kernel": make_kernel().name}
 
 
 def running(pid):
@@ -303,6 +309,28 @@ class TestForkedLaunch:
             cleared = sweep()
         assert cleared.ok == 2 and not cleared.failures
 
+    def test_kernel_selector_follows_the_sweep_not_the_template(
+        self, monkeypatch
+    ):
+        # The template keeps the environment of its start; the launcher's
+        # REPRO_KERNEL reaches each attempt through its payload.
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        with template_held():
+            monkeypatch.setenv(KERNEL_ENV, "reference")
+            outcome = run_sweep(
+                [Job("a", "p"), Job("b", "p")], runner=kernel_runner,
+                workers=2, retries=0,
+            )
+            monkeypatch.delenv(KERNEL_ENV)
+            unset = run_sweep(
+                [Job("a", "p")], runner=kernel_runner, workers=2, retries=0
+            )
+        assert outcome.ok == 2
+        assert [r["kernel"] for r in outcome.results().values()] == [
+            "reference", "reference"
+        ]
+        assert unset.results()[("a", "p")]["kernel"] == "vector"
+
 
 class TestCheckpointResume:
     def test_shards_and_manifest_written(self, tmp_path):
@@ -403,15 +431,16 @@ class TestOutcomeAndRecords:
         assert config_fingerprint(a) == config_fingerprint(b)
         assert config_fingerprint(a) != config_fingerprint(scaled_config(1 / 128))
 
-    def test_config_fingerprint_is_the_snapshot_fingerprint(self):
-        from dataclasses import replace
-
+    def test_config_fingerprint_is_the_snapshot_fingerprint(
+        self, monkeypatch
+    ):
         from repro.config import scaled_config
         from repro.snapshot import config_sha256
 
         cfg = scaled_config(1 / 1024)
         assert config_fingerprint(cfg) == config_sha256(cfg)
-        assert config_fingerprint(replace(cfg, kernel="reference")) == (
+        monkeypatch.setenv(KERNEL_ENV, "reference")
+        assert config_fingerprint(scaled_config(1 / 1024)) == (
             config_fingerprint(cfg)
         )
 

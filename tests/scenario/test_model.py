@@ -34,6 +34,13 @@ class TestParse:
         with pytest.raises(ScenarioError, match="wrokload"):
             parse_scenario({**MINIMAL, "wrokload": "kmeans"})
 
+    def test_kernel_key_rejected_naming_the_env_var(self):
+        for kernel in ("auto", "reference", "vector"):
+            with pytest.raises(ScenarioError, match="REPRO_KERNEL") as exc:
+                parse_scenario({**MINIMAL, "kernel": kernel}, source="s.yaml")
+            assert exc.value.field == "kernel"
+            assert str(exc.value).startswith("s.yaml: kernel: ")
+
     def test_unknown_workload_lists_registry(self):
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario({**MINIMAL, "workload": "nbody"})
@@ -116,13 +123,11 @@ class TestCompile:
         )
         assert config_sha256(sc.to_config()) == config_sha256(legacy)
 
-    def test_kernel_never_changes_fingerprint(self):
-        shas = {
-            config_sha256(
-                parse_scenario({**MINIMAL, "kernel": k}).to_config()
-            )
-            for k in ("auto", "reference", "vector")
-        }
+    def test_kernel_never_changes_fingerprint(self, monkeypatch):
+        shas = set()
+        for k in ("auto", "reference", "vector"):
+            monkeypatch.setenv("REPRO_KERNEL", k)
+            shas.add(config_sha256(parse_scenario(dict(MINIMAL)).to_config()))
         assert len(shas) == 1
 
     def test_mesh_scale_out_picks_latency_band(self):

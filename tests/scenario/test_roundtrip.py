@@ -10,7 +10,7 @@ door it came through.
 import json
 
 from repro.api import Session, run_scenario
-from repro.cli import _cfg, build_parser
+from repro.cli import _flag_scenario, build_parser
 from repro.scenario import Scenario, load_scenario
 from repro.service.cache import request_key
 from repro.service.queue import scenario_from_body
@@ -28,7 +28,8 @@ def _canon(result) -> str:
 class TestFingerprintIdentity:
     def test_yaml_cli_service_agree(self):
         yaml_sha = config_sha256(load_scenario(SCENARIO).to_config())
-        cli_sha = config_sha256(_cfg(build_parser().parse_args(CLI_FLAGS)))
+        cli_args = build_parser().parse_args(CLI_FLAGS)
+        cli_sha = config_sha256(_flag_scenario(cli_args).to_config())
         by_name = scenario_from_body(SCENARIO, "run")
         by_value = scenario_from_body(
             load_scenario(SCENARIO).to_dict(), "run"

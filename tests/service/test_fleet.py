@@ -446,3 +446,41 @@ class TestVersionSkew:
         assert fleet.reclaims == 1
         assert queue.adopted == 0 and queue.jobs == {}
         assert fleet_status(tmp_path / "fleet")["claims"] == []
+
+    def test_a_4_0_claim_that_selects_a_kernel_is_settled_once(
+        self, tmp_path
+    ):
+        """A 4.0 host wrote the kernel into a claim's scenario when the run
+        chose one; 5.0 refuses that scenario, so the first tick warns and
+        settles the claim through the same path as a 3.x one."""
+        fleet = FleetNode(tmp_path / "fleet", host_id="h4",
+                          lease_timeout=30.0)
+        key = "fedcba9876543210"
+        scenario = {"scenario": 1, "name": "md5/tdnuca", "workload": "md5",
+                    "policy": "tdnuca", "machine": {"scale": 2048},
+                    "kernel": "vector"}
+        fleet.claim_path(key).write_text(json.dumps({
+            "key": key, "scenario": scenario, "owner": "h3", "epoch": 1,
+            "host_deaths": 0, "prev_owner": None,
+        }))
+        queue = JobQueue(
+            workers=1, spool_dir=tmp_path / "spool",
+            cache=ResultCache(tmp_path / "cache"), fleet=fleet,
+        )
+
+        async def go():
+            await queue.start()
+            try:
+                with pytest.warns(UserWarning, match="REPRO_KERNEL"):
+                    queue._fleet_tick()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    queue._fleet_tick()
+            finally:
+                await queue.drain(grace=0.5)
+
+        asyncio.run(go())
+        assert not fleet.claim_path(key).exists()
+        assert fleet.reclaims == 1
+        assert queue.adopted == 0 and queue.jobs == {}
+        assert fleet_status(tmp_path / "fleet")["claims"] == []

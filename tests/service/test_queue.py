@@ -188,7 +188,6 @@ class TestIdentity:
             run_of("kmeans", "snuca", scale=1024),
             run_of("kmeans", "tdnuca", scale=512),
             run_of("kmeans", "tdnuca", scale=1024, seed=1),
-            run_of("kmeans", "tdnuca", scale=1024, kernel="reference"),
             sweep_of(["kmeans"], ["tdnuca"], scale=1024),
         ):
             assert job_of(other).key != base
@@ -668,3 +667,44 @@ class TestJobTable:
         assert exc.value.type == "not-found"
         assert "last 40 finished jobs" in exc.value.message
         assert queue.stats()["submitted"] == 2000
+
+    def test_a_shared_result_lives_only_while_a_record_holds_it(
+        self, tmp_path, monkeypatch
+    ):
+        """Keys with one cold run and several hits each: once the records
+        of a key retire, its shared result goes with them."""
+        monkeypatch.setattr(queue_module, "KEEP_FINISHED", 40)
+        queue = make_queue(tmp_path)
+
+        def attempt(job, budget):
+            scenario = job.scenario
+            result = {"seed": scenario.seed}
+            queue.cache.put(
+                request_key(scenario.to_config(), scenario.workload,
+                            scenario.policy, scenario.seed),
+                result,
+            )
+            job.partial[job.label] = result
+            job.cells_done += 1
+
+        queue._attempt = attempt
+
+        def unheld():
+            held = {id(r) for j in queue.jobs.values() for r in j.partial.values()}
+            return [key for key, result in queue._hit_results.items()
+                    if id(result) not in held]
+
+        async def go():
+            await queue.start()
+            for seed in range(60):
+                spec = run_of("md5", "tdnuca", scale=SCALE, seed=seed)
+                await wait_settled(queue.submit(spec))
+                assert unheld() == []
+                for _ in range(5):
+                    assert queue.submit(spec).state == "done"
+                    assert unheld() == []
+            await queue.drain(grace=0.5)
+
+        run_async(go())
+        assert len(queue.jobs) == 40
+        assert len(queue._hit_results) <= 7

@@ -152,6 +152,22 @@ class TestEnvelopes:
         assert field in error["message"]
         assert served.server.queue.stats()["submitted"] == 0
 
+    def test_a_kernel_key_is_typed_400_naming_the_env_var(self, served):
+        body = json.dumps({"scenario": {
+            "name": "t", "workload": "md5", "policy": "tdnuca",
+            "machine": {"scale": SCALE}, "kernel": "vector",
+        }}).encode()
+        status, _, raw = served.raw(
+            "POST", "/v1/run", body=body,
+            headers={"Content-Length": str(len(body))},
+        )
+        error = json.loads(raw)["error"]
+        assert status == 400
+        assert error["type"] == "invalid-request"
+        assert "kernel" in error["message"]
+        assert "REPRO_KERNEL" in error["message"]
+        assert served.server.queue.stats()["submitted"] == 0
+
     def test_unknown_job_id_is_404(self, served):
         client = ServiceClient(port=served.port, retries=0)
         with pytest.raises(ServiceError) as exc:

@@ -12,12 +12,11 @@ MESI invariants must hold machine-wide:
   the whole invariant checker passes, under every policy and both kernels.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.invariants import check_machine
+from repro.sim.kernels import make_kernel
 from repro.sim.machine import build_machine
 
 from tests.conftest import tiny_config
@@ -104,8 +103,8 @@ def test_counters_consistent(trace):
 @given(trace=accesses)
 @settings(max_examples=25, deadline=None)
 def test_residency_mask_and_checker_hold(policy, kernel, trace):
-    cfg = replace(tiny_config(), kernel=kernel)
-    m = build_machine(cfg, policy, fragmentation=0.0)
+    m = build_machine(tiny_config(), policy, fragmentation=0.0)
+    m.kernel = make_kernel(kernel)
     apply_trace(m, trace)
     assert m.llc._where == m.llc.residency()
     assert check_machine(m) == []

@@ -7,11 +7,11 @@ optimizations (batched counters, allocation-free probes, precomputed
 geometry) must be statistically invisible down to the last counter and
 derived float.
 
-Every case runs under *each* simulation kernel against the same
-snapshot: the suite doubles as the cross-kernel equivalence gate (the
-vector backend's fused engine must produce byte-identical
-MachineStats, DESIGN.md §13).  Every leg also checks the accounting
-identities of :mod:`tests.accounting`.
+Every case runs under *each* simulation kernel (selected through
+``REPRO_KERNEL``) against the same snapshot: the suite doubles as the
+cross-kernel equivalence gate (the vector backend's fused engine must
+produce byte-identical MachineStats, DESIGN.md §13).  Every leg also
+checks the accounting identities of :mod:`tests.accounting`.
 
 Regenerate snapshots only for intentional modelling changes:
 ``PYTHONPATH=src python scripts/update_golden_stats.py``.
@@ -45,14 +45,14 @@ def _flatten(prefix: str, value, out: dict) -> None:
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("case", CASES, ids=[c.case_id for c in CASES])
 def test_stats_match_golden_snapshot(case, kernel, monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
+    monkeypatch.setenv(KERNEL_ENV, kernel)
     path = GOLDEN_DIR / f"{case.case_id}.json"
     assert path.exists(), (
         f"missing golden snapshot {path}; run "
         "'PYTHONPATH=src python scripts/update_golden_stats.py'"
     )
     expected = json.loads(path.read_text())
-    actual = run_case(case, kernel=kernel)
+    actual = run_case(case)
 
     flat_expected: dict = {}
     flat_actual: dict = {}

@@ -7,14 +7,15 @@ dispatch gate and its fallback accounting, randomized cross-kernel
 equivalence beyond the golden grid (including a full-scale-length trace
 through the fused engine, which the golden traces are too short to
 reach), the verify kernel's double-execution, and the
-backend-agnosticism of cache/snapshot fingerprints.
+backend-agnosticism of cache/snapshot fingerprints.  Every machine takes
+its kernel from ``REPRO_KERNEL``; a test pins one through that variable
+or by replacing ``machine.kernel``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -43,19 +44,21 @@ def _clean_kernel_env(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV, raising=False)
 
 
-def small_config(denom=1024, **overrides):
-    cfg = scaled_config(1.0 / denom)
-    return replace(cfg, **overrides) if overrides else cfg
+def small_config(denom=1024):
+    return scaled_config(1.0 / denom)
 
 
-def run_stats(workload, policy, kernel, denom=1024, seed=0, **overrides):
-    cfg = small_config(denom, kernel=kernel, **overrides)
-    return Session(cfg, seed=seed).run(workload, policy).stats_dict()
+def run_stats(workload, policy, kernel, denom=1024, seed=0):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(KERNEL_ENV, kernel)
+        session = Session(small_config(denom), seed=seed)
+        return session.run(workload, policy).stats_dict()
 
 
 def make_machine(policy="tdnuca", kernel="vector", **cfg_kw):
-    cfg = replace(tiny_config(**cfg_kw), kernel=kernel)
-    return build_machine(cfg, policy, fragmentation=0.0)
+    machine = build_machine(tiny_config(**cfg_kw), policy, fragmentation=0.0)
+    machine.kernel = make_kernel(kernel)
+    return machine
 
 
 def drive(machine, blocks, writes=None, core=0):
@@ -81,15 +84,22 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown simulation kernel"):
             resolve_kernel_name("turbo")
 
-    def test_config_validates_kernel(self):
+    def test_config_validates_kernel(self, monkeypatch):
+        # No config holds a kernel: the selector is checked where it is
+        # read, when a machine is built.
+        monkeypatch.setenv(KERNEL_ENV, "turbo")
         with pytest.raises(ValueError, match="unknown simulation kernel"):
-            replace(tiny_config(), kernel="turbo").validate()
+            build_machine(tiny_config(), "snuca")
         for name in KERNEL_NAMES:
-            replace(tiny_config(), kernel=name).validate()
+            monkeypatch.setenv(KERNEL_ENV, name)
+            build_machine(tiny_config(), "snuca")
 
-    def test_machine_inherits_config_kernel(self):
-        assert make_machine(kernel="reference").kernel.name == "reference"
-        assert make_machine(kernel="vector").kernel.name == "vector"
+    def test_machine_inherits_config_kernel(self, monkeypatch):
+        # The machine takes the kernel REPRO_KERNEL names, auto when unset.
+        assert build_machine(tiny_config()).kernel.name == "vector"
+        for name in ("reference", "vector", "verify"):
+            monkeypatch.setenv(KERNEL_ENV, name)
+            assert build_machine(tiny_config()).kernel.name == name
 
 
 class TestDispatchGate:
@@ -209,10 +219,10 @@ class TestTracedGoldens:
     @pytest.mark.parametrize(
         "case", GOLDEN_CASES, ids=[c.case_id for c in GOLDEN_CASES]
     )
-    def test_traced_run_matches_golden_snapshot(self, case):
+    def test_traced_run_matches_golden_snapshot(self, case, monkeypatch):
         expected = json.loads((GOLDEN_DIR / f"{case.case_id}.json").read_text())
-        cfg = replace(case.config(), kernel="vector")
-        result = Session(cfg, seed=case.seed).run(
+        monkeypatch.setenv(KERNEL_ENV, "vector")
+        result = Session(case.config(), seed=case.seed).run(
             case.workload, case.policy, trace=True
         )
         assert result.traced
@@ -247,44 +257,56 @@ class TestVerifyKernel:
         with pytest.raises(KernelMismatchError, match="divergence at task"):
             drive(m, [100, 101, 102])
 
-    def test_mismatch_failpoint_in_full_run(self):
+    def test_mismatch_failpoint_in_full_run(self, monkeypatch):
         failpoints.configure(f"{MISMATCH_SITE}=1@action:corrupt@after:3")
-        cfg = small_config(2048, kernel="verify")
+        monkeypatch.setenv(KERNEL_ENV, "verify")
         with pytest.raises(KernelMismatchError):
-            Session(cfg).run("kmeans", "tdnuca")
+            Session(small_config(2048)).run("kmeans", "tdnuca")
+
+
+def _under_each_kernel(fn):
+    """``fn()`` under every ``REPRO_KERNEL`` setting, unset included."""
+    out = []
+    for name in (None, "reference", "vector"):
+        with pytest.MonkeyPatch.context() as mp:
+            if name is not None:
+                mp.setenv(KERNEL_ENV, name)
+            out.append(fn())
+    return out
 
 
 class TestBackendAgnosticFingerprints:
+    """No run description holds a kernel, so none of its hashes can
+    depend on the one a machine runs."""
+
+    BODY = {"name": "t", "workload": "kmeans", "policy": "tdnuca",
+            "machine": {"scale": 1024}}
+
     def test_config_sha_ignores_kernel(self):
+        from repro.scenario import parse_scenario
         from repro.snapshot.format import config_sha256
 
-        cfg = small_config(1024)
-        assert config_sha256(replace(cfg, kernel="vector")) == config_sha256(
-            replace(cfg, kernel="reference")
+        shas = _under_each_kernel(
+            lambda: config_sha256(parse_scenario(self.BODY).to_config())
         )
+        assert len(set(shas)) == 1
 
     def test_service_request_key_shared_across_kernels(self):
-        from repro.service.cache import request_key
+        from repro.service.fleet import job_key
+        from repro.service.queue import cell_keys, scenario_from_body, service_form
 
-        cfg = small_config(1024)
-        keys = {
-            request_key(replace(cfg, kernel=k), "kmeans", "tdnuca", 0)
-            for k in ("auto", "reference", "vector")
-        }
-        assert len(keys) == 1
+        def keys():
+            scenario = service_form(scenario_from_body(self.BODY, "run"))
+            return job_key(scenario.to_dict()), cell_keys(scenario)["kmeans/tdnuca"]
+
+        assert len(set(_under_each_kernel(keys))) == 1
 
     def test_run_spec_round_trips_kernel(self):
-        from repro.scenario import MachineSpec, Scenario
-        from repro.service.queue import scenario_from_body, service_form
+        # A body that still selects a kernel is refused, naming the field
+        # and the variable that selects it now.
+        from repro.scenario import ScenarioError
+        from repro.service.queue import scenario_from_body
 
-        scenario = service_form(Scenario(
-            "t", workload="kmeans", policy="tdnuca",
-            machine=MachineSpec(scale=1024), kernel="vector",
-        ))
-        assert scenario.to_config().kernel == "vector"
-        raw = scenario.to_dict()
-        assert raw["kernel"] == "vector"
-        back = scenario_from_body(raw, "run")
-        assert back.kernel == "vector"
-        plain = service_form(Scenario("t", workload="kmeans", policy="tdnuca"))
-        assert scenario_from_body(plain.to_dict(), "run").kernel == "auto"
+        with pytest.raises(ScenarioError, match="REPRO_KERNEL") as exc:
+            scenario_from_body({**self.BODY, "kernel": "vector"}, "run")
+        assert exc.value.field == "kernel"

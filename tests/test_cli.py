@@ -20,6 +20,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "md5", "hnuca"])
 
+    def test_no_command_takes_a_kernel_flag(self, capsys):
+        # REPRO_KERNEL is the one kernel selector (removed as a flag in 5.0)
+        for argv in (["run", "kmeans", "snuca"], ["config"], ["sweep"],
+                     ["submit", "md5", "snuca"], ["tdg", "md5", "--out", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--kernel", "vector"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
 
 class TestVersion:
     def test_version_flag_prints_the_package_version(self, capsys):
@@ -299,17 +308,38 @@ class TestCommands:
         b["sweep"].pop("wall_time_s")
         assert a == b
 
-    def test_sweep_resumes_under_another_kernel(self, tmp_path, capsys):
+    def test_sweep_resumes_under_another_kernel(
+        self, tmp_path, capsys, monkeypatch
+    ):
         # The kernel is an execution strategy, not part of the sweep's
-        # identity: a finished run dir resumes under any --kernel.
+        # identity: a finished run dir resumes under any REPRO_KERNEL.
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         out = tmp_path / "ref.json"
         argv = ["sweep", "--scale", "2048", "--workloads", "md5",
                 "--policies", "snuca", "tdnuca", "--out", str(out)]
-        assert main(argv + ["--kernel", "reference"]) == 0
+        assert main(argv) == 0
         capsys.readouterr()
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
         assert main(["sweep", "--resume", str(tmp_path / "ref.json.d")]) == 0
         err = capsys.readouterr().err
         assert err.count(" skipped ") == 2
+
+    def test_sweep_resume_of_a_kernel_manifest_says_to_rerun(
+        self, tmp_path, capsys
+    ):
+        # A 4.0 sweep run with --kernel recorded it in its scenario.
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--scale", "2048", "--workloads", "md5",
+                     "--policies", "snuca", "--out", str(out)]) == 0
+        manifest_path = tmp_path / "s.json.d" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["request"]["scenario"]["kernel"] = "vector"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["sweep", "--resume", str(tmp_path / "s.json.d")]) == 2
+        printed = capsys.readouterr().out
+        assert "kernel" in printed and "REPRO_KERNEL" in printed
+        assert "re-run the sweep" in printed
 
     def test_sweep_manifest_records_its_scenario(self, tmp_path, capsys):
         # The manifest holds the one sweep scenario the flags built; a
